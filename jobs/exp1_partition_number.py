@@ -1,6 +1,6 @@
 """T4 (paper Exp 1 / Fig 10): effect of partition number k on PMHL."""
-from repro.experiments.exp_tables import t4_rows
 from job_util import emit, parse
+from repro.experiments.exp_tables import t4_rows
 
 if __name__ == "__main__":
     args = parse("SC,EC,W", "effect of partition number on PMHL")

@@ -1,6 +1,6 @@
 """T2 (paper Exp 2 / Fig 11): index performance t_c, |L|, t_q, t_u."""
-from repro.experiments.exp_tables import t2_rows
 from job_util import emit, parse
+from repro.experiments.exp_tables import t2_rows
 
 if __name__ == "__main__":
     args = parse("NY,GD,FLA,SC,EC,W,CTR,USA", "index performance comparison")

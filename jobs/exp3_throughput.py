@@ -1,6 +1,6 @@
 """T3 (paper Exp 3 / Fig 12): maximum average throughput per dataset."""
-from repro.experiments.exp_tables import t3_rows
 from job_util import emit, parse
+from repro.experiments.exp_tables import t3_rows
 
 if __name__ == "__main__":
     args = parse("NY,GD,FLA,SC,EC,W,CTR,USA", "throughput comparison")

@@ -1,6 +1,6 @@
 """T5 (paper Exp 4 / Fig 13): QPS evolution during the update interval."""
-from repro.experiments.exp_tables import t5_rows
 from job_util import emit, parse
+from repro.experiments.exp_tables import t5_rows
 
 if __name__ == "__main__":
     args = parse("NY,FLA", "QPS evolution")

@@ -1,6 +1,6 @@
 """T6 (paper Exp 5 / Fig 14): effect of |U|, δt, R_q* on throughput."""
-from repro.experiments.exp_tables import t6_rows
 from job_util import emit, parse
+from repro.experiments.exp_tables import t6_rows
 
 if __name__ == "__main__":
     args = parse("NY,SC", "update volume / interval / QoS sweeps")

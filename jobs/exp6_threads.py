@@ -1,6 +1,6 @@
 """T7 (paper Exp 6 / Fig 15): speedup vs worker count p."""
-from repro.experiments.exp_tables import t7_rows
 from job_util import emit, parse
+from repro.experiments.exp_tables import t7_rows
 
 if __name__ == "__main__":
     args = parse("NY,FLA", "thread-count sweep (LPT-scheduled)")

@@ -1,6 +1,6 @@
 """T8 (paper Exp 7 / Fig 17): effect of expected partition number k_e."""
-from repro.experiments.exp_tables import t8_rows
 from job_util import emit, parse
+from repro.experiments.exp_tables import t8_rows
 
 if __name__ == "__main__":
     args = parse("FLA,EC,W", "PostMHL k_e sweep")

@@ -1,6 +1,6 @@
 """T9 (paper Exp 8 / Fig 18): effect of bandwidth τ on PostMHL."""
-from repro.experiments.exp_tables import t9_rows
 from job_util import emit, parse
+from repro.experiments.exp_tables import t9_rows
 
 if __name__ == "__main__":
     args = parse("NY,FLA", "PostMHL bandwidth sweep")

@@ -7,8 +7,14 @@ the session themselves; pure-driver experiments do not start a JVM.
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 
-from repro.experiments.runner import fmt_table, save_results
+# Jobs run from any working directory without installing the package:
+# put <repo>/src on the path before anything imports ``repro``.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from repro.experiments.runner import fmt_table, save_results  # noqa: E402
 
 
 def parse(datasets_default: str, desc: str) -> argparse.Namespace:
@@ -20,6 +26,7 @@ def parse(datasets_default: str, desc: str) -> argparse.Namespace:
 
 
 def emit(rows: list[dict], cols: list[str], title: str, tag: str | None) -> None:
-    print(fmt_table(rows, cols, title))
+    text = fmt_table(rows, cols, title)
+    print(text)
     if tag:
-        print(f"[saved] {save_results(tag, rows)}")
+        print(f"[saved] {save_results(tag, rows, text)}")

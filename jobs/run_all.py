@@ -2,20 +2,22 @@
 
 This is the full reproduction run over the entire lite registry; the
 dataset subsets per table mirror the paper's figure subsets. Output goes
-to stdout and results/*.json.
+to stdout and results/*.json + results/*.txt.
 """
 from __future__ import annotations
 
 import sys
 import time
 
+import job_util  # noqa: F401  (puts <repo>/src on sys.path)
 from repro.experiments import exp_tables as T
 from repro.experiments.runner import fmt_table, save_results
 
 
 def section(title: str, rows: list[dict], cols: list[str], tag: str) -> None:
-    print("\n" + fmt_table(rows, cols, title), flush=True)
-    save_results(tag, rows)
+    text = fmt_table(rows, cols, title)
+    print("\n" + text, flush=True)
+    save_results(tag, rows, text)
 
 
 def main() -> None:

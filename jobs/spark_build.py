@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import time
 
+from job_util import emit
+
 
 def main(spark, dataset: str = "FLA", n_queries: int = 2000) -> list[dict]:
     from repro.graphs.generator import DATASETS, random_queries
@@ -53,8 +55,6 @@ if __name__ == "__main__":
     ap.add_argument("--queries", type=int, default=2000)
     args = ap.parse_args()
     spark = SparkSession.builder.appName("repro-spark-build").getOrCreate()
-    from job_util import emit
-
     emit(main(spark, args.dataset, args.queries), ["step", "n", "seconds", "qps"],
          "T10 — distributed build & batch query engine", "t10_spark_build")
     spark.stop()

@@ -1,6 +1,6 @@
 """T1 (paper Table I): dataset registry statistics."""
-from repro.experiments.exp_tables import t1_rows
 from job_util import emit, parse
+from repro.experiments.exp_tables import t1_rows
 
 if __name__ == "__main__":
     args = parse("", "dataset registry stats")

@@ -110,5 +110,4 @@ def postmhl_stage_walls(times: dict, p: int) -> list[float]:
 
 def mean_walls(walls_list: list[list[float]]) -> list[float]:
     """Average stage walls over update batches."""
-    arr = np.array(walls_list)
-    return list(arr.mean(axis=0))
+    return list(np.mean(walls_list, axis=0)) if walls_list else []

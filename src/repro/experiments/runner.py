@@ -13,9 +13,11 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from repro.graphs.generator import DATASETS, random_queries, update_batches
 from repro.core.ch import CHIndex
+from repro.core.dijkstra import bidijkstra
 from repro.core.h2h import H2HIndex
 from repro.baselines.toain import TOAINIndex
 from repro.psp.pmhl import PMHLIndex
@@ -23,15 +25,12 @@ from repro.psp.strategies import NCHPIndex, PTDPIndex
 from repro.psp.postmhl import PostMHLIndex
 from repro.experiments.harness import (
     QueryStats,
-    lpt,
     mean_walls,
     measure_queries,
     pmhl_stage_walls,
     postmhl_stage_walls,
 )
 from repro.throughput.queue_model import Stage, multistage_throughput
-
-ALGOS = ["BiDij", "DCH", "DH2H", "TOAIN", "N-CH-P", "P-TD-P", "PMHL", "PostMHL"]
 
 # Default lite-scale system parameters (see module docstring).
 DEFAULTS = dict(volume=100, dt=10.0, rq=0.1, p=16, n_batches=5, n_queries=100)
@@ -55,7 +54,13 @@ class AlgoResult:
     walls: list[float]
     # Stage names matching walls+final for timeline/throughput building.
     stage_names: list[str] = field(default_factory=list)
-    raw_batches: list[dict] = field(default_factory=list)  # per-batch timings
+    raw_batches: list = field(default_factory=list)  # apply_batch returns
+    # (apply_batch return, p) -> one wall per stage after the first.
+    walls_fn: Callable[[object, int], list[float]] | None = None
+
+    def walls_at(self, p: int) -> list[float]:
+        """Mean stage walls over the measured batches with ``p`` workers."""
+        return mean_walls([self.walls_fn(t, p) for t in self.raw_batches])
 
     def stages_for(self, dt: float) -> list[Stage]:
         """Stage list over one update interval for the queue model."""
@@ -74,8 +79,7 @@ class AlgoResult:
         return out
 
     def throughput(self, dt: float, rq: float) -> float:
-        tu = self.walls[-1] if self.walls else 0.0
-        if tu >= dt:
+        if self.tu >= dt:
             return 0.0
         return multistage_throughput(self.stages_for(dt), dt, rq)
 
@@ -88,10 +92,82 @@ class AlgoResult:
         return self.stage_q[self.stage_names[-1]].mean
 
 
-def _timed_build(cls, *args, **kw):
-    t0 = time.perf_counter()
-    idx = cls(*args, **kw)
-    return idx, time.perf_counter() - t0
+def _toain(graph, spec, coords, pairs) -> TOAINIndex:
+    index = TOAINIndex(graph)
+    index.tune(pairs[:20])  # self-configuration is part of construction
+    return index
+
+
+class Algo(NamedTuple):
+    """How the runner builds, queries and schedules one algorithm."""
+
+    make: Callable  # (graph, spec, coords, pairs) -> index
+    # (stage name, query method) in availability order, after the
+    # implicit BiDijkstra stage.
+    stages: list[tuple[str, str]]
+    # (apply_batch return, p) -> the wall at which each listed stage opens.
+    walls: Callable[[object, int], list[float]]
+
+    def build(self, graph, spec, coords, pairs):
+        """(index, construction seconds)."""
+        t0 = time.perf_counter()
+        index = self.make(graph, spec, coords, pairs)
+        return index, time.perf_counter() - t0
+
+
+ALGOS = {
+    "DCH": Algo(
+        lambda g, spec, coords, pairs: CHIndex(g),
+        [("ch", "query")],
+        lambda t, p: [t],
+    ),
+    "DH2H": Algo(
+        lambda g, spec, coords, pairs: H2HIndex(g),
+        [("h2h", "query")],
+        lambda t, p: [t["edge"] + t["shortcut"] + t["label"]],
+    ),
+    "TOAIN": Algo(_toain, [("toain", "query")], lambda t, p: [t]),
+    "N-CH-P": Algo(
+        lambda g, spec, coords, pairs: NCHPIndex(g, spec.k, coords),
+        [("pch", "query_pch")],
+        lambda t, p: pmhl_stage_walls(t, p)[:1],
+    ),
+    "P-TD-P": Algo(
+        lambda g, spec, coords, pairs: PTDPIndex(g, spec.k, coords),
+        [("post", "query_postboundary")],
+        lambda t, p: pmhl_stage_walls(t, p)[2:3],  # available after U4
+    ),
+    "PMHL": Algo(
+        lambda g, spec, coords, pairs: PMHLIndex(g, spec.k, coords),
+        [("pch", "query_pch"), ("noboundary", "query_noboundary"),
+         ("postboundary", "query_postboundary"), ("cross", "query_cross")],
+        pmhl_stage_walls,
+    ),
+    "PostMHL": Algo(
+        lambda g, spec, coords, pairs: PostMHLIndex(g, tau=spec.tau, k_e=spec.k_e),
+        [("pch", "query_pch"), ("postboundary", "query_postboundary"), ("h2h", "query")],
+        postmhl_stage_walls,
+    ),
+}
+
+
+def measure_index(name, index, t_build, batches, pairs, p, bidij=None) -> AlgoResult:
+    """Apply ``batches`` to a built ``ALGOS[name]`` index, then time each
+    query stage and average the stage walls at ``p`` workers.
+
+    ``bidij`` is the shared BiDijkstra stage; without it the index's own
+    ``query_bidij`` is timed on the first 30 pairs.
+    """
+    algo = ALGOS[name]
+    raw = [index.apply_batch(b) for b in batches]
+    if bidij is None:
+        bidij = measure_queries(index.query_bidij, pairs[:30])
+    stage_q = {"bidij": bidij}
+    for stage, method in algo.stages:
+        stage_q[stage] = measure_queries(getattr(index, method), pairs)
+    r = AlgoResult(name, t_build, index.index_size(), stage_q, [], list(stage_q), raw, algo.walls)
+    r.walls = r.walls_at(p)
+    return r
 
 
 def measure_dataset(
@@ -104,120 +180,30 @@ def measure_dataset(
     p: int | None = None,
     seed: int = 11,
 ) -> dict[str, AlgoResult]:
-    """Build, update, and measure every requested algorithm on a dataset."""
+    """Build, update, and measure every requested algorithm on a dataset.
+
+    BiDij is always measured first: every algorithm falls back to it.
+    """
     spec = DATASETS[name]
     cfg = {**DEFAULTS, **SLACKED.get(name, {})}
     volume = volume or cfg["volume"]
     n_batches = n_batches or cfg["n_batches"]
     n_queries = n_queries or cfg["n_queries"]
     p = p or cfg["p"]
-    algos = list(algos or ALGOS)
-    if "BiDij" not in algos:
-        algos = ["BiDij"] + algos  # every algorithm falls back to BiDijkstra
 
     graph, coords = spec.build()
     pairs = random_queries(graph.n, n_queries, seed=seed)
     batches = update_batches(graph, batches=n_batches, volume=volume, seed=seed + 1)
-    out: dict[str, AlgoResult] = {}
 
-    if "BiDij" in algos:
-        g = graph.copy()
-        from repro.core.dijkstra import bidijkstra
-
-        for b in batches:
-            g.apply_updates(b)
-        q = measure_queries(lambda s, t: bidijkstra(g, s, t), pairs)
-        out["BiDij"] = AlgoResult("BiDij", 0.0, 0, {"bidij": q}, [], ["bidij"])
-
-    if "DCH" in algos:
-        idx, tb = _timed_build(CHIndex, graph.copy())
-        walls = [[idx.apply_batch(b)] for b in batches]
-        qb = measure_queries(idx.query, pairs)
-        qf = out["BiDij"].stage_q["bidij"]
-        out["DCH"] = AlgoResult(
-            "DCH", tb, idx.index_size(), {"bidij": qf, "ch": qb}, mean_walls(walls), ["bidij", "ch"]
-        )
-
-    if "DH2H" in algos:
-        idx, tb = _timed_build(H2HIndex, graph.copy())
-        walls = []
-        for b in batches:
-            t = idx.apply_batch(b)
-            walls.append([t["edge"] + t["shortcut"] + t["label"]])
-        qh = measure_queries(idx.query, pairs)
-        qf = out["BiDij"].stage_q["bidij"]
-        out["DH2H"] = AlgoResult(
-            "DH2H", tb, idx.index_size(), {"bidij": qf, "h2h": qh}, mean_walls(walls), ["bidij", "h2h"]
-        )
-
-    if "TOAIN" in algos:
-        idx, tb = _timed_build(TOAINIndex, graph.copy())
-        tb += 0.0
-        t0 = time.perf_counter()
-        idx.tune(pairs[: min(20, len(pairs))])
-        tb += time.perf_counter() - t0  # self-configuration is part of construction
-        walls = [[idx.apply_batch(b)] for b in batches]
-        qt = measure_queries(idx.query, pairs)
-        qf = out["BiDij"].stage_q["bidij"]
-        out["TOAIN"] = AlgoResult(
-            "TOAIN", tb, idx.index_size(), {"bidij": qf, "toain": qt}, mean_walls(walls), ["bidij", "toain"]
-        )
-
-    if "N-CH-P" in algos:
-        idx, tb = _timed_build(NCHPIndex, graph.copy(), spec.k, coords)
-        walls = []
-        for b in batches:
-            t = idx.apply_batch(b)
-            walls.append([t["u1"] + lpt(t["u2"]["parts"].values(), p) + t["u2"]["overlay"]])
-        qp = measure_queries(idx.query_pch, pairs)
-        qf = out["BiDij"].stage_q["bidij"]
-        out["N-CH-P"] = AlgoResult(
-            "N-CH-P", tb, idx.index_size(), {"bidij": qf, "pch": qp}, mean_walls(walls), ["bidij", "pch"]
-        )
-
-    if "P-TD-P" in algos:
-        idx, tb = _timed_build(PTDPIndex, graph.copy(), spec.k, coords)
-        walls = []
-        for b in batches:
-            t = idx.apply_batch(b)
-            w = pmhl_stage_walls(t, p)
-            walls.append([w[2]])  # available after U4 (post-boundary)
-        qq = measure_queries(idx.query_postboundary, pairs)
-        qf = out["BiDij"].stage_q["bidij"]
-        out["P-TD-P"] = AlgoResult(
-            "P-TD-P", tb, idx.index_size(), {"bidij": qf, "post": qq}, mean_walls(walls), ["bidij", "post"]
-        )
-
-    if "PMHL" in algos:
-        idx, tb = _timed_build(PMHLIndex, graph.copy(), spec.k, coords)
-        raw = [idx.apply_batch(b) for b in batches]
-        walls = [pmhl_stage_walls(t, p) for t in raw]
-        stage_q = {
-            "bidij": out["BiDij"].stage_q["bidij"],
-            "pch": measure_queries(idx.query_pch, pairs),
-            "noboundary": measure_queries(idx.query_noboundary, pairs),
-            "postboundary": measure_queries(idx.query_postboundary, pairs),
-            "cross": measure_queries(idx.query_cross, pairs),
-        }
-        out["PMHL"] = AlgoResult(
-            "PMHL", tb, idx.index_size(), stage_q, mean_walls(walls),
-            ["bidij", "pch", "noboundary", "postboundary", "cross"], raw,
-        )
-
-    if "PostMHL" in algos:
-        idx, tb = _timed_build(PostMHLIndex, graph.copy(), tau=spec.tau, k_e=spec.k_e)
-        raw = [idx.apply_batch(b) for b in batches]
-        walls = [postmhl_stage_walls(t, p) for t in raw]
-        stage_q = {
-            "bidij": out["BiDij"].stage_q["bidij"],
-            "pch": measure_queries(idx.query_pch, pairs),
-            "postboundary": measure_queries(idx.query_postboundary, pairs),
-            "h2h": measure_queries(idx.query, pairs),
-        }
-        out["PostMHL"] = AlgoResult(
-            "PostMHL", tb, idx.index_size(), stage_q, mean_walls(walls),
-            ["bidij", "pch", "postboundary", "h2h"], raw,
-        )
+    g = graph.copy()
+    for b in batches:
+        g.apply_updates(b)
+    bidij = measure_queries(lambda s, t: bidijkstra(g, s, t), pairs)
+    out = {"BiDij": AlgoResult("BiDij", 0.0, 0, {"bidij": bidij}, [], ["bidij"])}
+    for a, algo in ALGOS.items():
+        if not algos or a in algos:
+            index, t_build = algo.build(graph.copy(), spec, coords, pairs)
+            out[a] = measure_index(a, index, t_build, batches, pairs, p, bidij)
     return out
 
 
@@ -241,11 +227,15 @@ def get_records(names: list[str], algos: list[str] | None = None, **kw) -> dict[
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(__file__)))), "results")
 
 
-def save_results(tag: str, rows: list[dict]) -> str:
+def save_results(tag: str, rows: list[dict], text: str) -> str:
+    """Write ``rows`` to results/<tag>.json and the printed table ``text``
+    to results/<tag>.txt; return the .json path."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{tag}.json")
     with open(path, "w") as f:
         json.dump(rows, f, indent=1)
+    with open(os.path.join(RESULTS_DIR, f"{tag}.txt"), "w") as f:
+        f.write(text + "\n")
     return path
 
 

@@ -7,6 +7,7 @@ weight reads/writes, and all indexes read weights through it.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 
@@ -70,11 +71,19 @@ class Graph:
 
         This is U-Stage 1 ("on-spot edge update") of both PMHL and
         PostMHL: after it, index-free searches on the graph are correct.
+        The batch is atomic: every update must name an existing edge
+        (else ``KeyError``) with a finite weight > 0 (else ``ValueError``),
+        and the whole batch is checked before any weight is written.
         """
-        applied = []
-        for u, v, w in updates:
-            self.set_weight(u, v, w)
-            applied.append((u, v, w))
+        applied = [(u, v, w) for u, v, w in updates]
+        for u, v, w in applied:
+            if not (0 <= u < self.n and v in self.adj[u]):
+                raise KeyError(f"edge ({u},{v}) not present")
+            if not (0 < w < math.inf):
+                raise ValueError(f"edge ({u},{v}): weight {w!r} is not finite and > 0")
+        for u, v, w in applied:
+            self.adj[u][v] = w
+            self.adj[v][u] = w
         return applied
 
     def subgraph(self, vertices: list[int]) -> tuple["Graph", dict[int, int]]:

@@ -65,6 +65,16 @@ def hub_query(h1: np.ndarray, d1: np.ndarray, h2: np.ndarray, d2: np.ndarray) ->
     return float((d1[i1] + d2[i2]).min())
 
 
+def boundary_matrix(td: TreeDec, dis: list, verts: list[int]) -> np.ndarray:
+    """All-pair distances among ``verts`` by H2H queries on (td, dis)."""
+    nb = len(verts)
+    D = np.zeros((nb, nb), dtype=np.float64)
+    for a in range(nb):
+        for b in range(a + 1, nb):
+            D[a, b] = D[b, a] = h2h_query(td, dis, verts[a], verts[b])
+    return D
+
+
 @dataclass
 class PartitionUnit:
     """All per-partition state of PMHL."""
@@ -116,6 +126,8 @@ class PMHLIndex:
         self.k = k
         self.part: Partition = partition_graph(graph, k, coords)
         self.units: list[PartitionUnit] = []
+        # L* hub arrays of boundary vertices (the overlay labels)
+        self.bhubs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.build_times: dict[str, object] = {}
         self._init_units()
         if build:
@@ -185,7 +197,7 @@ class PMHLIndex:
         t_post: dict[int, float] = {}
         for u in self.units:
             t0 = time.perf_counter()
-            u.D = self._boundary_pairs_matrix(u)
+            u.D = boundary_matrix(self.td_o, self.dis_o, [self.o_loc[u.vertices[l]] for l in u.b_local])
             u.gpost = u.gl.copy()
             for a in range(len(u.b_local)):
                 for b in range(a + 1, len(u.b_local)):
@@ -223,20 +235,8 @@ class PMHLIndex:
             "cross": t_cross,
         }
 
-    def _boundary_pairs_matrix(self, u: PartitionUnit) -> np.ndarray:
-        """All-pair global boundary distances D_i via overlay queries."""
-        nb = len(u.b_local)
-        D = np.zeros((nb, nb), dtype=np.float64)
-        ol = [self.o_loc[u.vertices[l]] for l in u.b_local]
-        for a in range(nb):
-            for b in range(a + 1, nb):
-                D[a, b] = D[b, a] = h2h_query(self.td_o, self.dis_o, ol[a], ol[b])
-        return D
-
     def _build_boundary_hubs(self, changed: list[int]) -> None:
         """(Re)build the L* hub arrays of boundary vertices = overlay labels."""
-        if not hasattr(self, "bhubs"):
-            self.bhubs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for g in changed:
             o = self.o_loc[g]
             anc = np.array([self.ov_vertices[a] for a in self.td_o.ancestors(o)], dtype=np.int64)
@@ -476,7 +476,7 @@ class PMHLIndex:
                 u.gpost.set_weight(la, lb, w)
                 loc_edges.append((la, lb))
             if d_may_change:
-                Dn = self._boundary_pairs_matrix(u)
+                Dn = boundary_matrix(self.td_o, self.dis_o, [self.o_loc[u.vertices[l]] for l in u.b_local])
                 for a in range(len(u.b_local)):
                     for b in range(a + 1, len(u.b_local)):
                         if Dn[a, b] != u.D[a, b]:
@@ -528,6 +528,5 @@ class PMHLIndex:
         total += sum(len(nb) for nb in self.td_o.neigh)
         if self.dis_o is not None:
             total += sum(len(d) for d in self.dis_o)
-        if hasattr(self, "bhubs"):
-            total += sum(len(h) for h, _ in self.bhubs.values())
+        total += sum(len(h) for h, _ in self.bhubs.values())
         return total

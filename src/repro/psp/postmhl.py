@@ -37,6 +37,7 @@ from repro.core.dijkstra import bidijkstra
 from repro.core.h2h import prune_to_subtree_roots
 from repro.core.treedec import build_labels, build_treedec, h2h_query, update_shortcuts
 from repro.partition.tdpartition import TDPartitionResult, td_partition
+from repro.psp.pmhl import boundary_matrix
 
 INF = math.inf
 
@@ -97,16 +98,6 @@ class PostMHLIndex:
             "cross": t_cross,
         }
 
-    def _boundary_matrix(self, i: int) -> np.ndarray:
-        """All-pair global distances among B_i via the overlay index."""
-        bs = self.tdp.boundary[i]
-        nb = len(bs)
-        D = np.zeros((nb, nb), dtype=np.float64)
-        for a in range(nb):
-            for b in range(a + 1, nb):
-                D[a, b] = D[b, a] = h2h_query(self.td, self.dis, bs[a], bs[b])
-        return D
-
     def _partition_preorder(self, i: int):
         """DFS preorder of partition i's subtree (parents before children)."""
         stack = [self.tdp.roots[i]]
@@ -128,7 +119,7 @@ class PostMHLIndex:
         novl = self.novl[i]
         bidx = self.bidx[i]
         if D is None:
-            D = self._boundary_matrix(i)
+            D = boundary_matrix(td, self.dis, self.tdp.boundary[i])
         self.D[i] = D
         hmax = 1 + max(int(td.depth[v]) for v in self.tdp.parts[i]) - novl
         nb_cnt = len(self.tdp.boundary[i])

@@ -5,13 +5,30 @@ import pytest
 
 from repro.experiments.runner import AlgoResult, fmt_table, measure_dataset
 from repro.experiments.exp_tables import t1_rows
-from repro.experiments.harness import QueryStats
+from repro.experiments.harness import QueryStats, mean_walls, pmhl_stage_walls
+
+# Stage names of every algorithm, in the runner's fixed output order.
+STAGES = {
+    "BiDij": ["bidij"],
+    "DCH": ["bidij", "ch"],
+    "DH2H": ["bidij", "h2h"],
+    "TOAIN": ["bidij", "toain"],
+    "N-CH-P": ["bidij", "pch"],
+    "P-TD-P": ["bidij", "post"],
+    "PMHL": ["bidij", "pch", "noboundary", "postboundary", "cross"],
+    "PostMHL": ["bidij", "pch", "postboundary", "h2h"],
+}
 
 
 @pytest.fixture(scope="module")
 def ny_records():
     return measure_dataset("NY", ["BiDij", "DCH", "DH2H", "PMHL", "PostMHL"],
                            n_batches=2, n_queries=30)
+
+
+@pytest.fixture(scope="module")
+def all_records():
+    return measure_dataset("NY", n_batches=2, n_queries=10)
 
 
 def test_records_present(ny_records):
@@ -67,3 +84,26 @@ def test_t1_rows_cover_registry():
     rows = t1_rows()
     assert len(rows) == 8
     assert all(r["paper_V"] > 100 * r["V"] for r in rows)
+
+
+def test_algo_table_order_and_stage_names(all_records):
+    assert list(all_records) == list(STAGES)
+    for a, r in all_records.items():
+        assert r.stage_names == list(r.stage_q) == STAGES[a]
+        assert len(r.walls) == len(r.stage_names) - 1
+        assert r.walls_at(16) == r.walls  # NY runs at the default p=16
+
+
+def test_psp_baseline_walls_are_pmhl_slices(all_records):
+    for a, sl in (("N-CH-P", slice(0, 1)), ("P-TD-P", slice(2, 3))):
+        r = all_records[a]
+        assert len(r.raw_batches) == 2
+        for p in (1, 16):
+            assert r.walls_at(p) == mean_walls([pmhl_stage_walls(t, p)[sl] for t in r.raw_batches])
+
+
+def test_walls_at_does_not_increase_with_p(all_records):
+    for r in all_records.values():
+        walls = [r.walls_at(p) for p in (1, 2, 4, 8, 16, 64, 160)]
+        for fewer, more in zip(walls, walls[1:]):
+            assert all(b <= a + 1e-12 for a, b in zip(fewer, more))

@@ -82,3 +82,21 @@ def test_subgraph_mapping_roundtrip():
 def test_has_edge():
     g = make()
     assert g.has_edge(0, 1) and not g.has_edge(0, 2)
+
+
+@pytest.mark.parametrize(
+    "bad, exc",
+    [
+        ((0, 2, 1.0), KeyError),          # unknown edge
+        ((1, 2, 0.0), ValueError),        # zero weight
+        ((1, 2, -3.0), ValueError),       # negative weight
+        ((1, 2, float("nan")), ValueError),
+        ((1, 2, float("inf")), ValueError),
+    ],
+)
+def test_apply_updates_rejects_bad_batch_atomically(bad, exc):
+    g = make()
+    before = [dict(a) for a in g.adj]
+    with pytest.raises(exc):
+        g.apply_updates([(0, 1, 4.0), bad, (2, 3, 8.0)])  # bad update mid-batch
+    assert g.adj == before
