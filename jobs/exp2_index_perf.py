@@ -6,4 +6,4 @@ if __name__ == "__main__":
     args = parse("NY,GD,FLA,SC,EC,W,CTR,USA", "index performance comparison")
     rows = t2_rows(args.datasets.split(","))
     emit(rows, ["dataset", "algo", "t_c_s", "size_entries", "t_q_ms", "t_u_s"],
-         "T2 — index performance (Exp 2)", args.tag or "t2_index_perf")
+         "T2 — index performance (Exp 2)", args.tag or "t2_index_perf", args.out)

@@ -6,4 +6,4 @@ if __name__ == "__main__":
     args = parse("NY,GD,FLA,SC,EC,W,CTR,USA", "throughput comparison")
     rows = t3_rows(args.datasets.split(","))
     emit(rows, ["dataset", "algo", "lambda_qps"],
-         "T3 — maximum average throughput λ_q* (Exp 3)", args.tag or "t3_throughput")
+         "T3 — maximum average throughput λ_q* (Exp 3)", args.tag or "t3_throughput", args.out)

@@ -6,4 +6,4 @@ if __name__ == "__main__":
     args = parse("NY,FLA", "QPS evolution")
     rows = t5_rows(args.datasets.split(","))
     emit(rows, ["dataset", "algo", "t_start_s", "qps"],
-         "T5 — QPS evolution over the update interval (Exp 4)", args.tag or "t5_qps_evolution")
+         "T5 — QPS evolution over the update interval (Exp 4)", args.tag or "t5_qps_evolution", args.out)

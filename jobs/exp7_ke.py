@@ -6,4 +6,4 @@ if __name__ == "__main__":
     args = parse("FLA,EC,W", "PostMHL k_e sweep")
     rows = t8_rows(args.datasets.split(","))
     emit(rows, ["dataset", "k_e", "k_actual", "t_u_s", "lambda_qps"],
-         "T8 — PostMHL vs k_e (Exp 7)", args.tag or "t8_ke")
+         "T8 — PostMHL vs k_e (Exp 7)", args.tag or "t8_ke", args.out)

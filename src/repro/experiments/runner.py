@@ -227,14 +227,14 @@ def get_records(names: list[str], algos: list[str] | None = None, **kw) -> dict[
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(__file__)))), "results")
 
 
-def save_results(tag: str, rows: list[dict], text: str) -> str:
-    """Write ``rows`` to results/<tag>.json and the printed table ``text``
-    to results/<tag>.txt; return the .json path."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{tag}.json")
+def save_results(tag: str, rows: list[dict], text: str, out: str = RESULTS_DIR) -> str:
+    """Write ``rows`` to <out>/<tag>.json and the printed table ``text``
+    to <out>/<tag>.txt (``out`` defaults to results/); return the .json path."""
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, f"{tag}.json")
     with open(path, "w") as f:
         json.dump(rows, f, indent=1)
-    with open(os.path.join(RESULTS_DIR, f"{tag}.txt"), "w") as f:
+    with open(os.path.join(out, f"{tag}.txt"), "w") as f:
         f.write(text + "\n")
     return path
 

@@ -13,7 +13,9 @@ The index aggregates, per partition G_i with boundary B_i:
 - the **cross-boundary** index ``L*``: per-vertex global 2-hop hub
   arrays obtained by concatenating boundary arrays ``disB`` with the
   overlay labels (Lemma 2), eliminating distance concatenation for
-  cross-partition queries.
+  cross-partition queries. All non-boundary vertices of G_i share one
+  hub set (the union of B_i's overlay ancestors), so ``L*`` of a whole
+  partition is one dense min-plus product ``disB_i ⊗ H_i``.
 
 Query stages (fastest *available* index answers):
   1 BiDijkstra → 2 PCH → 3 no-boundary → 4 post-boundary → 5 cross-boundary
@@ -57,12 +59,17 @@ def subtree_nodes(td: TreeDec, roots: list[int]) -> set[int]:
     return out
 
 
-def hub_query(h1: np.ndarray, d1: np.ndarray, h2: np.ndarray, d2: np.ndarray) -> float:
-    """2-hop-cover query over two sorted hub arrays."""
-    common, i1, i2 = np.intersect1d(h1, h2, assume_unique=True, return_indices=True)
-    if len(common) == 0:
+def joined_min(d1: np.ndarray, i1: np.ndarray, d2: np.ndarray, i2: np.ndarray) -> float:
+    """min over common hubs of d1 + d2, given their positions i1 / i2."""
+    if len(i1) == 0:
         return INF
     return float((d1[i1] + d2[i2]).min())
+
+
+def hub_query(h1: np.ndarray, d1: np.ndarray, h2: np.ndarray, d2: np.ndarray) -> float:
+    """2-hop-cover query over two sorted hub arrays."""
+    _, i1, i2 = np.intersect1d(h1, h2, assume_unique=True, return_indices=True)
+    return joined_min(d1, i1, d2, i2)
 
 
 def boundary_matrix(td: TreeDec, dis: list, verts: list[int]) -> np.ndarray:
@@ -73,6 +80,64 @@ def boundary_matrix(td: TreeDec, dis: list, verts: list[int]) -> np.ndarray:
         for b in range(a + 1, nb):
             D[a, b] = D[b, a] = h2h_query(td, dis, verts[a], verts[b])
     return D
+
+
+def disB_plan(td: TreeDec, boundary: set[int]) -> list[tuple[np.ndarray, ...]]:
+    """Static schedule of the top-down ``disB`` DP over ``td``, one step
+    per tree depth (a vertex's neighbours are its ancestors, so one depth
+    only reads rows of smaller depths).
+
+    A step is ``(rows, nbrs, fpos, starts)``: the non-boundary vertices
+    of that depth, their neighbours concatenated, the ``td.flat``
+    positions of the matching shortcut weights, and each vertex's offset
+    into the concatenation.
+    """
+    by_depth: dict[int, list[int]] = {}
+    for v in range(td.n):
+        if v not in boundary and td.neigh[v]:
+            by_depth.setdefault(int(td.depth[v]), []).append(v)
+    plan = []
+    for d in sorted(by_depth):
+        rows = by_depth[d]
+        deg = [len(td.neigh[v]) for v in rows]
+        nbrs = np.array([x for v in rows for x in td.neigh[v]], dtype=np.int64)
+        fpos = np.concatenate([np.arange(td.flat_off[v], td.flat_off[v + 1]) for v in rows])
+        starts = np.concatenate([[0], np.cumsum(deg[:-1])]).astype(np.int64)
+        plan.append((np.array(rows, dtype=np.int64), nbrs, fpos, starts))
+    return plan
+
+
+def build_disB(td: TreeDec, plan: list, b_local: list[int], D: np.ndarray) -> np.ndarray:
+    """Boundary arrays as one fresh ``(n × |B|)`` matrix: row v holds
+    d_G(v, b_j) for all b_j ∈ B_i.
+
+    Top-down DP over the post-boundary tree: a boundary vertex's row is
+    its (global) D row; a non-boundary row is the min over its
+    neighbours x of ``sc(v, x) + row(x)`` — Algorithm 4 lines 13–19
+    specialized to PMHL, one gather + ``minimum.reduceat`` per depth.
+    """
+    M = np.full((td.n, len(b_local)), INF, dtype=np.float64)
+    M[b_local] = D
+    for rows, nbrs, fpos, starts in plan:
+        cand = M[nbrs] + td.flat[fpos][:, None]
+        M[rows] = np.minimum.reduceat(cand, starts, axis=0)
+    return M
+
+
+def cross_labels(disB: np.ndarray, bcols: list[np.ndarray], bdists: list[np.ndarray], n_hubs: int) -> np.ndarray:
+    """Lemma 2 as one min-plus product ``disB ⊗ H`` (a fresh matrix).
+
+    ``H[j]`` is b_j's overlay label scattered to its hub columns
+    ``bcols[j]`` (INF where b_j lacks a hub); row v of the result is
+    ``min_j disB[v, j] + H[j]``.
+    """
+    H = np.full((len(bcols), n_hubs), INF, dtype=np.float64)
+    for j, (cols, dists) in enumerate(zip(bcols, bdists)):
+        H[j, cols] = dists
+    L = np.full((disB.shape[0], n_hubs), INF, dtype=np.float64)
+    for j in range(len(bcols)):
+        np.minimum(L, disB[:, j, None] + H[j], out=L)
+    return L
 
 
 @dataclass
@@ -94,8 +159,14 @@ class PartitionUnit:
     td_post: TreeDec | None = None
     dis_post: list | None = None
     D: np.ndarray | None = None                        # |B|×|B| global boundary dists
-    disB: list | None = None                           # local v -> row over B_i
-    lstar: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    # cross-boundary index; the tree shapes never change, so ``nonb``,
+    # ``plan``, ``hubs`` and ``bcols`` are fixed at build
+    disB: np.ndarray | None = None                     # n×|B|: row v = d_G(v, B_i)
+    nonb: np.ndarray | None = None                     # non-boundary local ids = L* rows
+    plan: list = field(default_factory=list)           # disB_plan of td_post
+    hubs: np.ndarray | None = None                     # sorted union of B_i's overlay hubs
+    bcols: list[np.ndarray] = field(default_factory=list)  # b_j's hub columns in ``hubs``
+    lstar: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)  # v -> (hubs, row of L)
 
 
 class PMHLIndex:
@@ -128,6 +199,8 @@ class PMHLIndex:
         self.units: list[PartitionUnit] = []
         # L* hub arrays of boundary vertices (the overlay labels)
         self.bhubs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # hub_joins[i][j] = positions of the hubs partitions i and j share
+        self.hub_joins: list[list[tuple[np.ndarray, np.ndarray]]] = []
         self.build_times: dict[str, object] = {}
         self._init_units()
         if build:
@@ -218,12 +291,14 @@ class PMHLIndex:
         # Step 6: cross-boundary index L*.
         t0 = time.perf_counter()
         self._build_boundary_hubs(self.ov_vertices)
+        self._build_hub_joins()
         t_bhubs = time.perf_counter() - t0
         t_cross: dict[int, float] = {}
         for u in self.units:
             t0 = time.perf_counter()
-            self._build_disB(u)
-            self._build_lstar(u)
+            u.nonb = np.array([v for v in range(u.gl.n) if v not in u.b_set], dtype=np.int64)
+            u.plan = disB_plan(u.td_post, u.b_set)
+            self._build_cross(u)
             t_cross[u.pid] = time.perf_counter() - t0
 
         self.build_times = {
@@ -244,41 +319,26 @@ class PMHLIndex:
             srt = np.argsort(anc)
             self.bhubs[g] = (anc[srt], dist[srt])
 
-    def _build_disB(self, u: PartitionUnit) -> None:
-        """Boundary arrays: disB[v][j] = d_G(v, b_j) for all b_j ∈ B_i.
+    def _build_hub_joins(self) -> None:
+        """Static hub layout: each partition's sorted hub union with every
+        boundary vertex's columns in it, and for every partition pair the
+        positions of their common hubs (``hub_joins[i][j] = (i1, i2)``)."""
+        for u in self.units:
+            b_hubs = [self.bhubs[u.vertices[l]][0] for l in u.b_local]
+            u.hubs = np.unique(np.concatenate(b_hubs))
+            u.bcols = [np.searchsorted(u.hubs, h) for h in b_hubs]
+        self.hub_joins = [
+            [np.intersect1d(ui.hubs, uj.hubs, assume_unique=True, return_indices=True)[1:] for uj in self.units]
+            for ui in self.units
+        ]
 
-        Top-down DP over the post-boundary tree: a boundary neighbor
-        contributes its (global) D row, a non-boundary neighbor its own
-        disB row — Algorithm 4 lines 13–19 specialized to PMHL.
-        """
-        td = u.td_post
-        bidx = {l: j for j, l in enumerate(u.b_local)}
-        nb_cnt = len(u.b_local)
-        disB: list = [None] * u.gl.n
-        for l in u.b_local:
-            disB[l] = u.D[bidx[l]]
-        for v in reversed(td.order):  # decreasing rank = parents first
-            if v in u.b_set:
-                continue
-            row = np.full(nb_cnt, INF, dtype=np.float64)
-            for k, x in enumerate(td.neigh[v]):
-                cand = td.sc[v][k] + disB[x]
-                np.minimum(row, cand, out=row)
-            disB[v] = row
-        u.disB = disB
-
-    def _build_lstar(self, u: PartitionUnit) -> None:
-        """Cross-boundary hub arrays for non-boundary vertices (Lemma 2)."""
-        b_hub = [self.bhubs[u.vertices[l]] for l in u.b_local]
-        for v in range(u.gl.n):
-            if v in u.b_set:
-                continue
-            hubs = np.concatenate([h for h, _ in b_hub])
-            dists = np.concatenate([d + u.disB[v][j] for j, (_, d) in enumerate(b_hub)])
-            uh, inv = np.unique(hubs, return_inverse=True)
-            best = np.full(len(uh), INF, dtype=np.float64)
-            np.minimum.at(best, inv, dists)
-            u.lstar[v] = (uh, best)
+    def _build_cross(self, u: PartitionUnit) -> None:
+        """Rebuild ``disB`` and every non-boundary ``L*`` row (Lemma 2)
+        into fresh arrays; earlier rows stay as they were."""
+        u.disB = build_disB(u.td_post, u.plan, u.b_local, u.D)
+        bdists = [self.bhubs[u.vertices[l]][1] for l in u.b_local]
+        L = cross_labels(u.disB[u.nonb], u.bcols, bdists, len(u.hubs))
+        u.lstar = {v: (u.hubs, row) for v, row in zip(u.nonb.tolist(), L)}
 
     # ------------------------------------------------------------------
     # queries (stages 1..5)
@@ -370,9 +430,12 @@ class PMHLIndex:
         if i == j:
             u = self.units[i]
             return h2h_query(u.td_post, u.dis_post, u.loc[s], u.loc[t])
-        h1, d1 = self._hubs_of(s)
-        h2, d2 = self._hubs_of(t)
-        return hub_query(h1, d1, h2, d2)
+        ui, uj = self.units[i], self.units[j]
+        ls, lt = ui.loc[s], uj.loc[t]
+        if ls in ui.b_set or lt in uj.b_set:
+            return hub_query(*self._hubs_of(s), *self._hubs_of(t))
+        i1, i2 = self.hub_joins[i][j]
+        return joined_min(ui.lstar[ls][1], i1, uj.lstar[lt][1], i2)
 
     query = query_cross  # final-stage (fully updated) query entry point
 
@@ -505,8 +568,7 @@ class PMHLIndex:
             if i not in post_label_changed and not any(g in changed_ov_g for g in u.b_global):
                 continue
             t0 = time.perf_counter()
-            self._build_disB(u)
-            self._build_lstar(u)
+            self._build_cross(u)
             u5_parts[i] = time.perf_counter() - t0
         out["u5"] = {"parts": u5_parts, "boundary_hubs": t_bh}
         return out
@@ -523,7 +585,7 @@ class PMHLIndex:
                 total += sum(len(nb) for nb in u.td_post.neigh)
                 total += sum(len(d) for d in u.dis_post)
             if u.disB is not None:
-                total += sum(len(r) for r in u.disB if r is not None)
+                total += u.disB.size
             total += sum(len(h) for h, _ in u.lstar.values())
         total += sum(len(nb) for nb in self.td_o.neigh)
         if self.dis_o is not None:

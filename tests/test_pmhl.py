@@ -90,7 +90,7 @@ def test_disB_values_exact(built):
     idx, g, fw, _ = built
     for u in idx.units:
         for v in range(0, u.gl.n, 5):
-            if v in u.b_set or u.disB[v] is None:
+            if v in u.b_set:
                 continue
             gv = u.vertices[v]
             for j, b in enumerate(u.b_local):
@@ -136,3 +136,123 @@ def test_hub_query_disjoint_returns_inf():
     h1 = np.array([1, 2]); d1 = np.array([1.0, 2.0])
     h2 = np.array([3, 4]); d2 = np.array([1.0, 2.0])
     assert hub_query(h1, d1, h2, d2) == math.inf
+
+
+def _per_vertex_cross(idx, u):
+    """Reference L* construction, one vertex at a time: disB by a
+    parents-first loop, each L* row by np.unique + np.minimum.at."""
+    td = u.td_post
+    disB = {l: u.D[j] for j, l in enumerate(u.b_local)}
+    for v in reversed(td.order):
+        if v not in u.b_set:
+            disB[v] = np.min([td.sc[v][k] + disB[x] for k, x in enumerate(td.neigh[v])], axis=0)
+    b_hub = [idx.bhubs[u.vertices[l]] for l in u.b_local]
+    lstar = {}
+    for v in range(u.gl.n):
+        if v in u.b_set:
+            continue
+        hubs = np.concatenate([h for h, _ in b_hub])
+        dists = np.concatenate([d + disB[v][j] for j, (_, d) in enumerate(b_hub)])
+        uh, inv = np.unique(hubs, return_inverse=True)
+        best = np.full(len(uh), math.inf)
+        np.minimum.at(best, inv, dists)
+        lstar[v] = (uh, best)
+    return disB, lstar
+
+
+def test_dense_cross_index_equals_per_vertex_reference(built):
+    """The dense disB / L* matrices hold exactly the per-vertex values."""
+    idx, _, _, _ = built
+    for u in idx.units:
+        disB, lstar = _per_vertex_cross(idx, u)
+        assert all(np.array_equal(u.disB[v], row) for v, row in disB.items())
+        assert len(disB) == len(u.disB) and u.lstar.keys() == lstar.keys()
+        for v, (h, d) in lstar.items():
+            assert np.array_equal(u.lstar[v][0], h) and np.array_equal(u.lstar[v][1], d), v
+
+
+def _assert_same_state(a, b):
+    """D, disB, every L* row and bhubs of ``a`` and ``b`` are bit-for-bit equal."""
+    for ua, ub in zip(a.units, b.units, strict=True):
+        assert np.array_equal(ua.D, ub.D)
+        assert np.array_equal(ua.disB, ub.disB)
+        assert ua.lstar.keys() == ub.lstar.keys()
+        for v, (h, d) in ua.lstar.items():
+            assert np.array_equal(h, ub.lstar[v][0]) and np.array_equal(d, ub.lstar[v][1]), v
+    assert a.bhubs.keys() == b.bhubs.keys()
+    for g, (h, d) in a.bhubs.items():
+        assert np.array_equal(h, b.bhubs[g][0]) and np.array_equal(d, b.bhubs[g][1]), g
+
+
+@pytest.mark.parametrize("seed,k", [(0, 3), (1, 4), (2, 3), (3, 4)])
+def test_incremental_state_equals_fresh_build(seed, k):
+    """After every batch, maintained disB / L* / bhubs / D are bit-for-bit
+    those of a from-scratch build on the updated graph."""
+    g, coords, ups, _ = updated_case(seed, 20, 5)
+    idx = PMHLIndex(g.copy(), k, coords)
+    g2 = g.copy()
+    for batch in ups:
+        idx.apply_batch(batch)
+        g2.apply_updates(batch)
+        _assert_same_state(idx, PMHLIndex(g2.copy(), k, coords))
+
+
+def test_incremental_state_equals_fresh_build_increase_only():
+    """An increase-only batch, then a batch of inter-partition edges only
+    (partitions without intra updates still see their D / L* move)."""
+    g, coords, _ = small_case(6, 20, 5)
+    idx = PMHLIndex(g.copy(), 4, coords)
+    g2 = g.copy()
+    increase = [(u, v, w * 3) for u, v, w in list(g.edges())[::4]]
+    inter = [(a, b, g2.adj[a][b] / 2) for a, b, _ in idx.part.inter_edges]
+    for batch in (increase, inter):
+        idx.apply_batch(batch)
+        g2.apply_updates(batch)
+        _assert_same_state(idx, PMHLIndex(g2.copy(), 4, coords))
+
+
+def _pair_classes(idx):
+    """One list of (s, t) pairs per query_cross path."""
+    def is_b(v):
+        u = idx.units[int(idx.part.pid[v])]
+        return u.loc[v] in u.b_set
+
+    classes = {c: [] for c in ("nonb-nonb", "b-nonb", "nonb-b", "b-b", "same", "s==t")}
+    for s in range(idx.graph.n):
+        classes["s==t"].append((s, s))
+        for t in range(idx.graph.n):
+            if s == t:
+                continue
+            if idx.part.pid[s] == idx.part.pid[t]:
+                classes["same"].append((s, t))
+            else:
+                key = ("b" if is_b(s) else "nonb") + "-" + ("b" if is_b(t) else "nonb")
+                classes[key].append((s, t))
+    return classes
+
+
+def test_query_cross_every_path_exact(built):
+    """Each pair class of query_cross equals Floyd–Warshall exactly; each
+    cross-partition class also equals the generic hub_query over L*."""
+    idx, g, fw, seed = built
+    for cls, pairs in _pair_classes(idx).items():
+        assert pairs, cls
+        for s, t in pairs[:: max(1, len(pairs) // 60)]:
+            d = idx.query_cross(s, t)
+            assert d == fw[s][t], (cls, s, t)
+            if cls not in ("same", "s==t"):
+                assert d == hub_query(*idx._hubs_of(s), *idx._hubs_of(t)), (cls, s, t)
+
+
+def test_batch_leaves_published_arrays_unchanged():
+    """U5 rebuilds into fresh arrays: rows read before a batch keep their values."""
+    g, coords, ups, _ = updated_case(1, 20, 5)
+    idx = PMHLIndex(g.copy(), 4, coords)
+    held = [(u.disB, dict(u.lstar)) for u in idx.units]
+    copies = [(m.copy(), {v: (h.copy(), d.copy()) for v, (h, d) in ls.items()}) for m, ls in held]
+    idx.apply_batch(ups[0])
+    assert any(m is not u.disB for (m, _), u in zip(held, idx.units))
+    for (m, ls), (m0, ls0) in zip(held, copies):
+        assert np.array_equal(m, m0)
+        for v, (h, d) in ls.items():
+            assert np.array_equal(h, ls0[v][0]) and np.array_equal(d, ls0[v][1])
