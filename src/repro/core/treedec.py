@@ -9,10 +9,11 @@ This is the shared engine behind every index in the paper:
   ``update_shortcuts`` (contributor lists give exact recomputation of
   ``sc(v,u) = min(w(v,u), min_x sc(x,v)+sc(x,u))`` in rank order).
 - PMHL partition indexes use the *boundary-first* order: non-boundary
-  vertices are eliminated by minimum degree, then boundary vertices in a
-  caller-given (overlay-consistent) order; the residual graph snapshot
-  taken between the two phases supplies the overlay graph's boundary
-  shortcuts (Theorem 2).
+  vertices are eliminated by minimum degree, then boundary vertices; the
+  residual graph snapshot taken between the two phases supplies the
+  overlay graph's boundary shortcuts (Theorem 2), and the partition is
+  then rebuilt with a fixed order whose boundary part follows the
+  overlay order.
 
 Key structural invariant used throughout: ``X(v).N`` is a subset of
 ``v``'s tree ancestors, so a neighbor's *position in the ancestor array*
@@ -118,18 +119,18 @@ def build_treedec(
     graph: Graph,
     *,
     forced_last: set[int] | None = None,
-    forced_order: list[int] | None = None,
     fixed_order: list[int] | None = None,
     snapshot_residual: bool = False,
 ) -> TreeDec:
     """Eliminate all vertices of ``graph`` and build its TreeDec.
 
     - default: pure minimum-degree elimination (MDE), ties by vertex id;
-    - ``forced_last`` + ``forced_order``: boundary-first mode — MDE over
-      the non-forced vertices first, then the forced set in the given
-      order (PMHL partition indexes; order comes from the overlay MDE);
-    - ``fixed_order``: eliminate exactly in this order (rebuilds with a
-      previously recorded order, e.g. post-boundary partition index);
+    - ``forced_last``: boundary-first mode — MDE over the non-forced
+      vertices first, then the forced set in ascending vertex id (PMHL
+      phase A; Spark's partition-parallel build);
+    - ``fixed_order``: eliminate exactly in this order (PMHL phase B and
+      the post-boundary partition index, whose boundary part follows the
+      overlay order);
     - ``snapshot_residual``: record the residual boundary-graph weights
       right before the first forced vertex is contracted (Theorem 2 —
       these are the overlay graph's edges).
@@ -184,8 +185,7 @@ def build_treedec(
                     for u, w in W[b].items():
                         if b < u:
                             residual[(b, u)] = w
-            fo = forced_order if forced_order is not None else sorted(forced)
-            for v in fo:
+            for v in sorted(forced):
                 contract(v)
 
     if len(order) != n:
@@ -390,6 +390,7 @@ def build_labels(
     roots: list[int] | None = None,
     active: set[int] | None = None,
     dis: list[np.ndarray | None] | None = None,
+    col0: int = 0,
 ) -> list[np.ndarray]:
     """Compute/refresh H2H distance arrays top-down.
 
@@ -406,8 +407,16 @@ def build_labels(
     - ``active``: restrict computation to this upward-closed vertex set
       (PostMHL's overlay-only label phase); children outside it are
       pruned.
-    - ``dis``: existing arrays updated in place (returned); fresh
-      otherwise.
+    - ``dis``: existing arrays updated (returned); fresh otherwise.
+    - ``col0``: compute only the columns ``[col0, depth)`` of each row
+      and keep the others from its existing row (PostMHL's in-partition
+      columns). A neighbor above depth ``col0`` is then read only at the
+      columns its depth gives in the rows being computed, so those
+      columns must be set beforehand.
+
+    Every row written is a fresh array (in window mode a copy of the old
+    row), so callers can tell rewritten rows from the row objects they
+    held before.
     """
     if dis is None:
         dis = [None] * td.n
@@ -416,9 +425,9 @@ def build_labels(
     start = roots if roots is not None else td.roots
 
     for r in start:
-        # Seed M with r's strict ancestors' existing arrays.
-        anc = td.ancestors(r)[:-1]
-        for a in anc:
+        # Seed M with r's strict ancestors' existing arrays (at depth ≥
+        # col0: shallower rows only feed columns outside the window).
+        for a in td.ancestors(r)[col0:-1]:
             d = int(td.depth[a])
             M[d, : d + 1] = dis[a]
         stack = [r]
@@ -439,8 +448,8 @@ def build_labels(
                     cand[k, : p + 1] = M[p, : p + 1]
                     if p + 1 < d:
                         cand[k, p + 1 :] = M[p + 1 : d, p]
-                row = np.empty(d + 1, dtype=np.float64)
-                row[:d] = (cand + w[:, None]).min(axis=0)
+                row = dis[v].copy() if col0 else np.empty(d + 1, dtype=np.float64)
+                row[col0:d] = (cand[:, col0:] + w[:, None]).min(axis=0)
                 row[d] = 0.0
             dis[v] = row
             M[d, : d + 1] = row

@@ -48,15 +48,21 @@ from repro.partition.partitioner import Partition, partition_graph
 INF = math.inf
 
 
-def subtree_nodes(td: TreeDec, roots: list[int]) -> set[int]:
-    """All nodes in the subtrees under ``roots`` (the recomputed set)."""
-    out: set[int] = set()
+def relabel(td: TreeDec, dis: list, roots: list[int], active: set[int] | None = None) -> set[int]:
+    """Recompute the labels under ``roots`` (inside ``active``) and return
+    the vertices whose row changed value, so later stages react to actual
+    changes and not to recomputation alone."""
+    if not roots:
+        return set()
+    old = {}
     stack = list(roots)
     while stack:
         v = stack.pop()
-        out.add(v)
-        stack.extend(td.children[v])
-    return out
+        if active is None or v in active:
+            old[v] = dis[v]
+            stack.extend(td.children[v])
+    build_labels(td, roots=roots, active=active, dis=dis)
+    return {v for v, row in old.items() if row is None or not np.array_equal(row, dis[v])}
 
 
 def joined_min(d1: np.ndarray, i1: np.ndarray, d2: np.ndarray, i2: np.ndarray) -> float:
@@ -82,46 +88,68 @@ def boundary_matrix(td: TreeDec, dis: list, verts: list[int]) -> np.ndarray:
     return D
 
 
-def disB_plan(td: TreeDec, boundary: set[int]) -> list[tuple[np.ndarray, ...]]:
-    """Static schedule of the top-down ``disB`` DP over ``td``, one step
-    per tree depth (a vertex's neighbours are its ancestors, so one depth
-    only reads rows of smaller depths).
+def disB_plan(td: TreeDec, row: dict[int, int], boundary: list[int]) -> tuple:
+    """Static schedule of the top-down ``disB`` DP over the vertices of
+    ``row`` (vertex → row of the ``disB`` matrix), whose neighbours must
+    all be in ``row`` too. Column j is ``d(·, boundary[j])``.
 
-    A step is ``(rows, nbrs, fpos, starts)``: the non-boundary vertices
-    of that depth, their neighbours concatenated, the ``td.flat``
-    positions of the matching shortcut weights, and each vertex's offset
-    into the concatenation.
+    Returns ``(n_rows, b_rows, steps)``: the matrix height, the rows of
+    the boundary vertices, and one step per tree depth (a vertex's
+    neighbours are its ancestors, so one depth only reads rows of smaller
+    depths). A step is ``(rows, nbrs, fpos, starts)``: the rows of the
+    non-boundary vertices of that depth, their neighbours' rows
+    concatenated, the ``td.flat`` positions of the matching shortcut
+    weights, and each vertex's offset into the concatenation.
     """
+    bset = set(boundary)
     by_depth: dict[int, list[int]] = {}
-    for v in range(td.n):
-        if v not in boundary and td.neigh[v]:
+    for v in row:
+        if v not in bset and td.neigh[v]:
             by_depth.setdefault(int(td.depth[v]), []).append(v)
-    plan = []
+    steps = []
     for d in sorted(by_depth):
-        rows = by_depth[d]
-        deg = [len(td.neigh[v]) for v in rows]
-        nbrs = np.array([x for v in rows for x in td.neigh[v]], dtype=np.int64)
-        fpos = np.concatenate([np.arange(td.flat_off[v], td.flat_off[v + 1]) for v in rows])
+        vs = by_depth[d]
+        deg = [len(td.neigh[v]) for v in vs]
+        nbrs = np.array([row[x] for v in vs for x in td.neigh[v]], dtype=np.int64)
+        fpos = np.concatenate([np.arange(td.flat_off[v], td.flat_off[v + 1]) for v in vs])
         starts = np.concatenate([[0], np.cumsum(deg[:-1])]).astype(np.int64)
-        plan.append((np.array(rows, dtype=np.int64), nbrs, fpos, starts))
-    return plan
+        steps.append((np.array([row[v] for v in vs], dtype=np.int64), nbrs, fpos, starts))
+    return len(row), [row[b] for b in boundary], steps
 
 
-def build_disB(td: TreeDec, plan: list, b_local: list[int], D: np.ndarray) -> np.ndarray:
-    """Boundary arrays as one fresh ``(n × |B|)`` matrix: row v holds
-    d_G(v, b_j) for all b_j ∈ B_i.
+def build_disB(td: TreeDec, plan: tuple, D: np.ndarray) -> np.ndarray:
+    """Boundary arrays as one fresh ``(n_rows × |B|)`` matrix: row r holds
+    d_G(v, b_j) for all b_j ∈ B, v the vertex of row r.
 
-    Top-down DP over the post-boundary tree: a boundary vertex's row is
-    its (global) D row; a non-boundary row is the min over its
-    neighbours x of ``sc(v, x) + row(x)`` — Algorithm 4 lines 13–19
-    specialized to PMHL, one gather + ``minimum.reduceat`` per depth.
+    Top-down DP over ``td`` (Algorithm 4 lines 13–19): a boundary
+    vertex's row is its (global) D row; any other row is the min over its
+    neighbours x of ``sc(v, x) + row(x)``, one gather +
+    ``minimum.reduceat`` per depth of ``plan`` (from ``disB_plan``).
     """
-    M = np.full((td.n, len(b_local)), INF, dtype=np.float64)
-    M[b_local] = D
-    for rows, nbrs, fpos, starts in plan:
+    n_rows, b_rows, steps = plan
+    M = np.full((n_rows, len(b_rows)), INF, dtype=np.float64)
+    M[b_rows] = D
+    for rows, nbrs, fpos, starts in steps:
         cand = M[nbrs] + td.flat[fpos][:, None]
         M[rows] = np.minimum.reduceat(cand, starts, axis=0)
     return M
+
+
+def concat_min(td: TreeDec, dis: list, ds, bs, dt, bt) -> float:
+    """Distance concatenation through two boundary sets: the min over
+    (a, b) of ``ds[a] + d(bs[a], bt[b]) + dt[b]``, with d an H2H query on
+    (td, dis); INF entries of ``ds`` / ``dt`` are skipped."""
+    best = INF
+    for da, b1 in zip(ds, bs):
+        if da == INF:
+            continue
+        for db, b2 in zip(dt, bt):
+            if db == INF:
+                continue
+            d = da + h2h_query(td, dis, b1, b2) + db
+            if d < best:
+                best = d
+    return best
 
 
 def cross_labels(disB: np.ndarray, bcols: list[np.ndarray], bdists: list[np.ndarray], n_hubs: int) -> np.ndarray:
@@ -150,6 +178,7 @@ class PartitionUnit:
     gl: Graph                      # local partition graph (intra edges)
     b_local: list[int] = field(default_factory=list)   # boundary, overlay-rank order
     b_global: list[int] = field(default_factory=list)
+    b_ov: list[int] = field(default_factory=list)      # boundary, overlay ids
     b_set: set[int] = field(default_factory=set)       # local boundary set
     elim_order: list[int] = field(default_factory=list)
     td: TreeDec | None = None                          # no-boundary
@@ -163,7 +192,7 @@ class PartitionUnit:
     # ``plan``, ``hubs`` and ``bcols`` are fixed at build
     disB: np.ndarray | None = None                     # n×|B|: row v = d_G(v, B_i)
     nonb: np.ndarray | None = None                     # non-boundary local ids = L* rows
-    plan: list = field(default_factory=list)           # disB_plan of td_post
+    plan: tuple = ()                                   # disB_plan of td_post
     hubs: np.ndarray | None = None                     # sorted union of B_i's overlay hubs
     bcols: list[np.ndarray] = field(default_factory=list)  # b_j's hub columns in ``hubs``
     lstar: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)  # v -> (hubs, row of L)
@@ -252,6 +281,7 @@ class PMHLIndex:
             t0 = time.perf_counter()
             b_sorted = sorted(u.b_set, key=lambda l: int(self.td_o.rank[self.o_loc[u.vertices[l]]]))
             u.b_local = b_sorted
+            u.b_ov = [self.o_loc[u.vertices[l]] for l in b_sorted]
             u.elim_order = nonb_order + b_sorted
             u.td = build_treedec(u.gl, fixed_order=u.elim_order)
             u.dis = build_labels(u.td) if self.level != "shortcut" else None
@@ -270,7 +300,7 @@ class PMHLIndex:
         t_post: dict[int, float] = {}
         for u in self.units:
             t0 = time.perf_counter()
-            u.D = boundary_matrix(self.td_o, self.dis_o, [self.o_loc[u.vertices[l]] for l in u.b_local])
+            u.D = boundary_matrix(self.td_o, self.dis_o, u.b_ov)
             u.gpost = u.gl.copy()
             for a in range(len(u.b_local)):
                 for b in range(a + 1, len(u.b_local)):
@@ -297,7 +327,7 @@ class PMHLIndex:
         for u in self.units:
             t0 = time.perf_counter()
             u.nonb = np.array([v for v in range(u.gl.n) if v not in u.b_set], dtype=np.int64)
-            u.plan = disB_plan(u.td_post, u.b_set)
+            u.plan = disB_plan(u.td_post, {v: v for v in range(u.gl.n)}, u.b_local)
             self._build_cross(u)
             t_cross[u.pid] = time.perf_counter() - t0
 
@@ -335,7 +365,7 @@ class PMHLIndex:
     def _build_cross(self, u: PartitionUnit) -> None:
         """Rebuild ``disB`` and every non-boundary ``L*`` row (Lemma 2)
         into fresh arrays; earlier rows stay as they were."""
-        u.disB = build_disB(u.td_post, u.plan, u.b_local, u.D)
+        u.disB = build_disB(u.td_post, u.plan, u.D)
         bdists = [self.bhubs[u.vertices[l]][1] for l in u.b_local]
         L = cross_labels(u.disB[u.nonb], u.bcols, bdists, len(u.hubs))
         u.lstar = {v: (u.hubs, row) for v, row in zip(u.nonb.tolist(), L)}
@@ -367,9 +397,6 @@ class PMHLIndex:
     def query_pch(self, s: int, t: int) -> float:
         return ch_query_rows(self._pch_rows, s, t)
 
-    def _ov_query_g(self, b1: int, b2: int) -> float:
-        return h2h_query(self.td_o, self.dis_o, self.o_loc[b1], self.o_loc[b2])
-
     def _concat(self, s: int, t: int, td_attr: str, dis_attr: str) -> float:
         """Boundary-concatenated cross/same-partition distance."""
         i, j = int(self.part.pid[s]), int(self.part.pid[t])
@@ -379,18 +406,7 @@ class PMHLIndex:
         ls, lt = ui.loc[s], uj.loc[t]
         ds = [h2h_query(tdi, disi, ls, b) for b in ui.b_local]
         dt = [h2h_query(tdj, disj, lt, b) for b in uj.b_local]
-        best = INF
-        for a, bs in enumerate(ui.b_local):
-            if ds[a] == INF:
-                continue
-            gb1 = ui.vertices[bs]
-            for b, bt in enumerate(uj.b_local):
-                if dt[b] == INF:
-                    continue
-                d = ds[a] + self._ov_query_g(gb1, uj.vertices[bt]) + dt[b]
-                if d < best:
-                    best = d
-        return best
+        return concat_min(self.td_o, self.dis_o, ds, ui.b_ov, dt, uj.b_ov)
 
     def query_noboundary(self, s: int, t: int) -> float:
         """Q-Stage 3: L_i + ~L with distance concatenation (slow)."""
@@ -510,15 +526,7 @@ class PMHLIndex:
             u3_parts[i] = time.perf_counter() - t0
         t0 = time.perf_counter()
         ov_roots = prune_to_subtree_roots(self.td_o, res_o.affected)
-        changed_ov: set[int] = set()
-        if ov_roots:
-            region = subtree_nodes(self.td_o, ov_roots)
-            old = {v: self.dis_o[v] for v in region}
-            build_labels(self.td_o, roots=ov_roots, dis=self.dis_o)
-            changed_ov = {
-                v for v in region
-                if old[v] is None or not np.array_equal(old[v], self.dis_o[v])
-            }
+        changed_ov = relabel(self.td_o, self.dis_o, ov_roots)
         out["u3"] = {"parts": u3_parts, "overlay": time.perf_counter() - t0}
 
         # ---- U4: post-boundary index update -------------------------
@@ -539,7 +547,7 @@ class PMHLIndex:
                 u.gpost.set_weight(la, lb, w)
                 loc_edges.append((la, lb))
             if d_may_change:
-                Dn = boundary_matrix(self.td_o, self.dis_o, [self.o_loc[u.vertices[l]] for l in u.b_local])
+                Dn = boundary_matrix(self.td_o, self.dis_o, u.b_ov)
                 for a in range(len(u.b_local)):
                     for b in range(a + 1, len(u.b_local)):
                         if Dn[a, b] != u.D[a, b]:

@@ -16,7 +16,10 @@ One global MDE tree decomposition carries *all* index components:
 Because every in-partition root path is (overlay ancestors, then
 in-partition ancestors), the full label rows equal plain H2H labels on
 the same order — PostMHL's final-stage query *is* DH2H's (Remark 2),
-which we assert in tests.
+which we assert in tests. So both per-partition phases run the shared
+kernels: ``disB`` is PMHL's ``build_disB`` DP, the in-partition columns
+a windowed ``build_labels`` (``col0``), and the cross-boundary phase the
+plain ``build_labels`` over the partition subtree.
 
 Update stages: U1 edge refresh → U2 shortcuts (partition-parallel
 passes + overlay pass over escaped dirt) → U3 overlay labels →
@@ -37,7 +40,7 @@ from repro.core.dijkstra import bidijkstra
 from repro.core.h2h import prune_to_subtree_roots
 from repro.core.treedec import build_labels, build_treedec, h2h_query, update_shortcuts
 from repro.partition.tdpartition import TDPartitionResult, td_partition
-from repro.psp.pmhl import boundary_matrix
+from repro.psp.pmhl import boundary_matrix, build_disB, concat_min, disB_plan, relabel
 
 INF = math.inf
 
@@ -66,7 +69,8 @@ class PostMHLIndex:
 
         self.k = self.tdp.k
         self.novl = [int(self.td.depth[r]) for r in self.tdp.roots]
-        self.bidx = [{b: j for j, b in enumerate(bs)} for bs in self.tdp.boundary]
+        self.ov_anc = [self.td.ancestors(r)[:-1] for r in self.tdp.roots]  # overlay ancestors
+        self.plans: list[tuple] = [()] * self.k  # disB_plan per partition
         self.D: list[np.ndarray | None] = [None] * self.k
         self.disB: list[np.ndarray | None] = [None] * graph.n
         self.dis: list[np.ndarray | None] = [None] * graph.n
@@ -83,8 +87,11 @@ class PostMHLIndex:
         t_overlay = time.perf_counter() - t0
         t_post: dict[int, float] = {}
         t_cross: dict[int, float] = {}
-        for i in range(self.k):
+        for i, (bs, part) in enumerate(zip(self.tdp.boundary, self.tdp.parts)):
             t0 = time.perf_counter()
+            row = {b: j for j, b in enumerate(bs)}
+            row.update((v, len(bs) + j) for j, v in enumerate(part))
+            self.plans[i] = disB_plan(self.td, row, bs)
             self._build_post(i)
             t_post[i] = time.perf_counter() - t0
             t0 = time.perf_counter()
@@ -98,95 +105,32 @@ class PostMHLIndex:
             "cross": t_cross,
         }
 
-    def _partition_preorder(self, i: int):
-        """DFS preorder of partition i's subtree (parents before children)."""
-        stack = [self.tdp.roots[i]]
-        while stack:
-            v = stack.pop()
-            yield v
-            stack.extend(self.td.children[v])
+    def _build_post(self, i: int) -> None:
+        """Post-boundary phase (Alg. 4 lines 5–31): disB + in-partition
+        entries, into fresh rows.
 
-    def _build_post(self, i: int, D: np.ndarray | None = None) -> None:
-        """Post-boundary phase (Alg. 4 lines 5–31): disB + in-partition entries.
-
-        Per node, the in-partition columns [novl, d) are a min over
-        neighbors: an overlay neighbor b contributes the target
-        ancestor's boundary array (``DB[·, bidx[b]]``), an in-partition
-        neighbor the root-path matrix trick restricted to in-partition
-        columns.
+        ``disB`` of the partition is one ``build_disB`` matrix. Every
+        overlay neighbour of a partition vertex lies in B_i, so once each
+        row's boundary-depth columns hold its ``disB`` row, the columns
+        ``[novl, d)`` are ``build_labels`` windowed at ``col0 = novl``.
         """
         td = self.td
-        novl = self.novl[i]
-        bidx = self.bidx[i]
-        if D is None:
-            D = boundary_matrix(td, self.dis, self.tdp.boundary[i])
-        self.D[i] = D
-        hmax = 1 + max(int(td.depth[v]) for v in self.tdp.parts[i]) - novl
-        nb_cnt = len(self.tdp.boundary[i])
-        DB = np.empty((hmax, nb_cnt), dtype=np.float64)   # disB rows of root path
-        Mp = np.full((hmax, hmax), INF, dtype=np.float64)  # in-partition columns
-
-        for v in self._partition_preorder(i):
-            d = int(td.depth[v])
-            r = d - novl  # row in DB/Mp
-            # --- boundary array disB[v] -----------------------------
-            row_b = np.full(nb_cnt, INF, dtype=np.float64)
-            for k, x in enumerate(td.neigh[v]):
-                p = int(td.pos[v][k])
-                if p < novl:
-                    cand = D[bidx[x]]
-                else:
-                    cand = DB[p - novl]
-                np.minimum(row_b, td.sc[v][k] + cand, out=row_b)
-            self.disB[v] = row_b
-            DB[r] = row_b
-            # --- in-partition distance-array entries ----------------
-            full = self.dis[v]
-            if full is None or len(full) != d + 1:
-                full = np.full(d + 1, INF, dtype=np.float64)
-                self.dis[v] = full
-            if r > 0:
-                seg = np.full(r, INF, dtype=np.float64)  # columns novl..d-1
-                for k, x in enumerate(td.neigh[v]):
-                    p = int(td.pos[v][k])
-                    if p < novl:
-                        # d(x, A[novl+q]) = ancestor's boundary array at x.
-                        cand = DB[:r, bidx[x]]
-                    else:
-                        pr = p - novl
-                        cand = np.concatenate((Mp[pr, : pr + 1], Mp[pr + 1 : r, pr]))
-                    np.minimum(seg, td.sc[v][k] + cand, out=seg)
-                full[novl:d] = seg
-            full[d] = 0.0
-            Mp[r, :r] = full[novl:d]
-            Mp[r, r] = 0.0
+        bs = self.tdp.boundary[i]
+        root = self.tdp.roots[i]
+        self.D[i] = boundary_matrix(td, self.dis, bs)
+        B = build_disB(td, self.plans[i], self.D[i])
+        bdepth = td.pos[root]  # depths of B_i = X(root).N
+        for v, b in zip(self.tdp.parts[i], B[len(bs):]):
+            self.disB[v] = b
+            row = np.full(int(td.depth[v]) + 1, INF, dtype=np.float64)
+            row[bdepth] = b
+            self.dis[v] = row
+        build_labels(td, roots=[root], dis=self.dis, col0=self.novl[i])
 
     def _build_cross(self, i: int) -> None:
-        """Cross-boundary phase: overlay-ancestor columns [0, novl)."""
-        td = self.td
-        novl = self.novl[i]
-        if novl == 0:
-            return
-        h = td.tree_height()
-        M = np.full((h, novl), INF, dtype=np.float64)
-        # Seed overlay-ancestor rows (their label rows, ≤ novl long).
-        r0 = self.tdp.roots[i]
-        anc = td.ancestors(r0)[:-1]
-        for a in anc:
-            da = int(td.depth[a])
-            M[da, : da + 1] = self.dis[a]
-        for v in self._partition_preorder(i):
-            d = int(td.depth[v])
-            seg = np.full(novl, INF, dtype=np.float64)
-            for k, x in enumerate(td.neigh[v]):
-                p = int(td.pos[v][k])
-                if p < novl:
-                    cand = np.concatenate((M[p, : p + 1], M[p + 1 : novl, p]))
-                else:
-                    cand = M[p, :novl]
-                np.minimum(seg, td.sc[v][k] + cand, out=seg)
-            self.dis[v][:novl] = seg
-            M[d, :novl] = seg
+        """Cross-boundary phase: the partition's rows recomputed in full,
+        so the overlay-ancestor columns [0, novl) are H2H's (Remark 2)."""
+        build_labels(self.td, roots=[self.tdp.roots[i]], dis=self.dis)
 
     # ------------------------------------------------------------------
     # queries
@@ -226,23 +170,8 @@ class PostMHLIndex:
             s, t, i, j = t, s, j, i  # make s the overlay endpoint if any
         if i == -1:
             # overlay ↔ partition j: concatenate through B_j.
-            best = INF
-            for jj, b in enumerate(self.tdp.boundary[j]):
-                d = h2h_query(td, self.dis, s, b) + self.disB[t][jj]
-                if d < best:
-                    best = d
-            return best
-        # partition i ↔ partition j.
-        best = INF
-        for ii, b1 in enumerate(self.tdp.boundary[i]):
-            ds = self.disB[s][ii]
-            if ds == INF:
-                continue
-            for jj, b2 in enumerate(self.tdp.boundary[j]):
-                d = ds + h2h_query(td, self.dis, b1, b2) + self.disB[t][jj]
-                if d < best:
-                    best = d
-        return best
+            return concat_min(td, self.dis, [0.0], [s], self.disB[t], self.tdp.boundary[j])
+        return concat_min(td, self.dis, self.disB[s], self.tdp.boundary[i], self.disB[t], self.tdp.boundary[j])
 
     def query(self, s: int, t: int) -> float:
         """Q-Stage 4 (final): full H2H query — equivalent to DH2H."""
@@ -291,23 +220,7 @@ class PostMHLIndex:
         t0 = time.perf_counter()
         ov_affected = {v for v in res_o.affected if v in self.tdp.overlay}
         roots = prune_to_subtree_roots(td, ov_affected)
-        changed_ov: set[int] = set()
-        if roots:
-            # Snapshot the recomputed region so downstream stages can
-            # react to *actual* value changes, not recomputation alone.
-            region: list[int] = []
-            stack = list(roots)
-            while stack:
-                v = stack.pop()
-                if v in self.tdp.overlay:
-                    region.append(v)
-                    stack.extend(td.children[v])
-            old = {v: self.dis[v] for v in region}
-            build_labels(td, roots=roots, active=self.tdp.overlay, dis=self.dis)
-            changed_ov = {
-                v for v in region
-                if old[v] is None or not np.array_equal(old[v], self.dis[v])
-            }
+        changed_ov = relabel(td, self.dis, roots, self.tdp.overlay)
         out["u3"] = {"overlay": time.perf_counter() - t0}
 
         # ---- U4 + U5: post-/cross-boundary per partition ------------
@@ -320,18 +233,18 @@ class PostMHLIndex:
         for i in range(self.k):
             internal = i in part_affected or i in part_edges
             # changed_ov holds overlay vertices whose label values truly
-            # changed; a partition is clean iff it had no internal damage
-            # and none of its boundary labels changed (then D and every
-            # d(b, ancestor) feeding its entries are unchanged).
-            boundary_changed = any(b in changed_ov for b in self.tdp.boundary[i])
-            if not internal and not boundary_changed:
-                continue
-            t0 = time.perf_counter()
-            self._build_post(i)
-            u4_parts[i] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            self._build_cross(i)
-            u5_parts[i] = time.perf_counter() - t0
+            # changed. disB and the in-partition columns read only B_i's
+            # rows (through D); the cross-boundary columns read the row of
+            # every overlay ancestor of the root, B_i among them.
+            post = internal or any(b in changed_ov for b in self.tdp.boundary[i])
+            if post:
+                t0 = time.perf_counter()
+                self._build_post(i)
+                u4_parts[i] = time.perf_counter() - t0
+            if post or not changed_ov.isdisjoint(self.ov_anc[i]):
+                t0 = time.perf_counter()
+                self._build_cross(i)
+                u5_parts[i] = time.perf_counter() - t0
         out["u4"] = {"parts": u4_parts}
         out["u5"] = {"parts": u5_parts}
         return out

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from repro.core.dijkstra import floyd_warshall
+from repro.core.treedec import h2h_query
 from repro.psp.pmhl import PMHLIndex, hub_query
 from tests.util import pairs_for, small_case, updated_case
 
@@ -46,7 +47,7 @@ def test_theorem2_overlay_preserves_boundary_distances(built):
     for a in bs[::3]:
         for b in bs[::4]:
             if a != b:
-                assert idx._ov_query_g(a, b) == pytest.approx(fw[a][b])
+                assert h2h_query(idx.td_o, idx.dis_o, idx.o_loc[a], idx.o_loc[b]) == pytest.approx(fw[a][b])
 
 
 def test_lemma2_cross_boundary_2hop_cover(built):

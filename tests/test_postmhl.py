@@ -27,7 +27,7 @@ def test_remark2_labels_equal_h2h(built):
     idx, g, _, _ = built
     ref = H2HIndex(g.copy())
     for v in range(g.n):
-        assert np.allclose(idx.dis[v], ref.dis[v]), v
+        assert np.array_equal(idx.dis[v], ref.dis[v]), v
 
 
 @pytest.mark.parametrize("stage", ["query_pch", "query_postboundary", "query"])
@@ -93,7 +93,104 @@ def test_maintenance_labels_equal_h2h_after_updates():
         idx.apply_batch(batch)
         ref.apply_batch(batch)
     for v in range(g.n):
-        assert np.allclose(idx.dis[v], ref.dis[v]), v
+        assert np.array_equal(idx.dis[v], ref.dis[v]), v
+
+
+def _pair_class(idx, s, t) -> str:
+    i, j = int(idx.tdp.pid[s]), int(idx.tdp.pid[t])
+    if s == t:
+        return "same vertex"
+    if i == j == -1:
+        return "overlay-overlay"
+    if i == -1 or j == -1:
+        return "overlay-partition" if i == -1 else "partition-overlay"
+    if i != j:
+        return "partition-partition"
+    return "ancestor" if idx.td.lca(s, t) in (s, t) else "same partition"
+
+
+@pytest.mark.parametrize("seed,tau,ke", PARAMS[:2])
+def test_postboundary_exact_before_u5(seed, tau, ke, monkeypatch):
+    """Q-stage 3 needs U1–U4 only: with the cross-boundary phase skipped,
+    every pair class is exact, disB is exact and the in-partition columns
+    are the H2H labels."""
+    g, _, ups, truths = updated_case(seed, 20, 5)
+    idx = PostMHLIndex(g.copy(), tau=tau, k_e=ke)
+    ref = H2HIndex(g.copy())
+    monkeypatch.setattr(PostMHLIndex, "_build_cross", lambda self, i: None)
+    for batch, fw in zip(ups, truths):
+        idx.apply_batch(batch)
+        ref.apply_batch(batch)
+        classes: dict[str, int] = {}
+        for s in range(0, g.n, 2):
+            for t in range(g.n):
+                assert idx.query_postboundary(s, t) == fw[s][t], (s, t)
+                c = _pair_class(idx, s, t)
+                classes[c] = classes.get(c, 0) + 1
+        assert len(classes) == 7, classes
+        for i in range(idx.k):
+            novl = idx.novl[i]
+            for v in idx.tdp.parts[i]:
+                assert [idx.disB[v][j] for j in range(len(idx.tdp.boundary[i]))] == [
+                    fw[v][b] for b in idx.tdp.boundary[i]
+                ]
+                assert np.array_equal(idx.dis[v][novl:], ref.dis[v][novl:]), v
+
+
+def _assert_same_state(a: PostMHLIndex, b: PostMHLIndex) -> None:
+    """D, every disB row and every label row of ``a`` and ``b`` are bit-for-bit equal."""
+    assert a.tdp.roots == b.tdp.roots
+    for i in range(a.k):
+        assert np.array_equal(a.D[i], b.D[i]), i
+    for v in range(a.graph.n):
+        assert (a.disB[v] is None) == (b.disB[v] is None), v
+        if a.disB[v] is not None:
+            assert np.array_equal(a.disB[v], b.disB[v]), v
+        assert np.array_equal(a.dis[v], b.dis[v]), v
+
+
+@pytest.mark.parametrize(
+    "case,tau,ke",
+    [
+        ((0, 20, 5), 8, 4),
+        ((1, 20, 5), 8, 5),
+        ((2, 20, 5), 10, 4),
+        ((3, 20, 5), 8, 4),
+        # batch 3 changes the row of an overlay ancestor of a partition
+        # root outside B_i while every B_i row stays the same
+        ((1, 30, 6, 3, 15), 10, 6),
+    ],
+    ids=["seed0", "seed1", "seed2", "seed3", "ancestor-outside-B"],
+)
+def test_incremental_state_equals_fresh_build(case, tau, ke):
+    """After every batch, maintained D / disB / labels equal a from-scratch
+    build on the updated graph."""
+    g, _, ups, _ = updated_case(*case)
+    idx = PostMHLIndex(g.copy(), tau=tau, k_e=ke)
+    for batch in ups:
+        idx.apply_batch(batch)
+        _assert_same_state(idx, PostMHLIndex(idx.graph.copy(), tau=tau, k_e=ke))
+
+
+def test_incremental_state_equals_fresh_build_increase_only():
+    g, _, _ = small_case(6, 20, 5)
+    idx = PostMHLIndex(g.copy(), tau=8, k_e=4)
+    idx.apply_batch([(u, v, w * 3) for u, v, w in list(g.edges())[::4]])
+    _assert_same_state(idx, PostMHLIndex(idx.graph.copy(), tau=8, k_e=4))
+
+
+def test_batch_leaves_published_rows_unchanged():
+    """A batch writes fresh arrays: rows and matrices a reader holds from
+    before it (overlay labels included) keep their values."""
+    g, _, ups, _ = updated_case(3, 20, 5)
+    idx = PostMHLIndex(g.copy(), tau=8, k_e=4)
+    for batch in ups:
+        rows = list(idx.dis)
+        held = [a for a in [*rows, *idx.disB, *idx.D] if a is not None]
+        copies = [a.copy() for a in held]
+        idx.apply_batch(batch)
+        assert all(np.array_equal(a, c) for a, c in zip(held, copies))
+        assert any(idx.dis[v] is not rows[v] for v in idx.tdp.overlay)
 
 
 def test_maintenance_increase_only():

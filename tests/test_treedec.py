@@ -98,10 +98,10 @@ def test_lemma4_fixed_order_reproduces_mde(td_case):
 def test_boundary_first_order(td_case):
     g, _, _ = td_case
     forced = {0, 1, 2, 3, 4}
-    td = build_treedec(g, forced_last=forced, forced_order=[4, 3, 2, 1, 0])
+    td = build_treedec(g, forced_last=forced)
     max_free = max(td.rank[v] for v in range(g.n) if v not in forced)
     assert all(td.rank[v] > max_free for v in forced)
-    assert [v for v in td.order if v in forced] == [4, 3, 2, 1, 0]
+    assert td.order[-len(forced):] == [0, 1, 2, 3, 4]
 
 
 def test_residual_snapshot_matches_recompute():
@@ -173,6 +173,30 @@ def test_build_labels_active_subset():
     restricted = build_labels(td, active=top)
     for v in top:
         assert np.allclose(restricted[v], full[v])
+
+
+def test_build_labels_window_columns():
+    """``col0`` recomputes only the columns [col0, depth) of each row of
+    the subtree, keeps the others from the old row, and writes fresh rows."""
+    g, _, _ = small_case(6)
+    td = build_treedec(g)
+    dis = build_labels(td)
+    r = max((v for v in range(g.n) if td.depth[v] >= 3), key=lambda v: len(td.children[v]))
+    c = int(td.depth[r])
+    sub, stack = [], [r]
+    while stack:
+        v = stack.pop()
+        sub.append(v)
+        stack.extend(td.children[v])
+    seeded = list(dis)
+    for v in sub:
+        seeded[v] = dis[v].copy()
+        seeded[v][c:] = -1.0
+    held = {v: seeded[v] for v in sub}
+    build_labels(td, roots=[r], dis=seeded, col0=c)
+    for v in sub:
+        assert np.array_equal(seeded[v], dis[v]), v
+        assert seeded[v] is not held[v] and (held[v][c:] == -1.0).all()
 
 
 def test_h2h_query_ancestor_cases():
