@@ -21,11 +21,11 @@ has no update-side savings — noted in EXPERIMENTS.md where it matters.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import time
 
 from repro.graphs.graph import Graph
+from repro.core.ch import ch_query_rows
 from repro.core.treedec import build_treedec, update_shortcuts
 
 INF = math.inf
@@ -48,41 +48,15 @@ class TOAINIndex:
     def _is_core(self, v: int) -> bool:
         return int(self.td.rank[v]) >= self._core_min_rank
 
-    def _search(self, s: int) -> dict[int, float]:
-        """One side of the hybrid search: graph edges below the core,
-        upward shortcut rows inside it."""
-        dist: dict[int, float] = {s: 0.0}
-        done: set[int] = set()
-        pq = [(0.0, s)]
-        while pq:
-            d, u = heapq.heappop(pq)
-            if u in done:
-                continue
-            done.add(u)
-            if self._is_core(u):
-                it = zip(self.td.neigh[u], self.td.sc[u])
-            else:
-                it = self.graph.adj[u].items()
-            for v, w in it:
-                nd = d + w
-                if nd < dist.get(v, INF):
-                    dist[v] = nd
-                    heapq.heappush(pq, (nd, v))
-        return dist
+    def _rows(self, u: int):
+        """Edges the hybrid search relaxes at ``u``: graph edges below the
+        core, upward shortcut rows inside it."""
+        if self._is_core(u):
+            return zip(self.td.neigh[u], self.td.sc[u])
+        return self.graph.adj[u].items()
 
     def query(self, s: int, t: int) -> float:
-        if s == t:
-            return 0.0
-        df = self._search(s)
-        db = self._search(t)
-        if len(df) > len(db):
-            df, db = db, df
-        best = INF
-        for v, d in df.items():
-            d2 = db.get(v)
-            if d2 is not None and d + d2 < best:
-                best = d + d2
-        return best
+        return ch_query_rows(self._rows, s, t)
 
     def tune(self, pairs: list[tuple[int, int]], fracs=(0.02, 0.05, 0.15, 0.4, 1.0)) -> float:
         """Pick the core fraction minimizing mean query time."""

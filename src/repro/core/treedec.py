@@ -62,7 +62,7 @@ class TreeDec:
     # is v's row offset. Lets pair recomputation be one NumPy gather.
     flat: np.ndarray | None = None
     flat_off: np.ndarray | None = None
-    _support: dict = field(default_factory=dict)  # pair -> (posA, posB) arrays
+    _support: dict = field(default_factory=dict)  # pair -> (contributors, posA, posB)
 
     # ------------------------------------------------------------------
     # LCA
@@ -120,20 +120,19 @@ def build_treedec(
     *,
     forced_last: set[int] | None = None,
     fixed_order: list[int] | None = None,
-    snapshot_residual: bool = False,
 ) -> TreeDec:
     """Eliminate all vertices of ``graph`` and build its TreeDec.
 
     - default: pure minimum-degree elimination (MDE), ties by vertex id;
     - ``forced_last``: boundary-first mode — MDE over the non-forced
       vertices first, then the forced set in ascending vertex id (PMHL
-      phase A; Spark's partition-parallel build);
+      phase A; Spark's partition-parallel build). The residual
+      boundary-graph weights right before the first forced vertex is
+      contracted are recorded in ``residual`` (Theorem 2 — these are the
+      overlay graph's edges);
     - ``fixed_order``: eliminate exactly in this order (PMHL phase B and
       the post-boundary partition index, whose boundary part follows the
-      overlay order);
-    - ``snapshot_residual``: record the residual boundary-graph weights
-      right before the first forced vertex is contracted (Theorem 2 —
-      these are the overlay graph's edges).
+      overlay order).
     """
     n = graph.n
     W: list[dict[int, float]] = [dict(a) for a in graph.adj]
@@ -180,11 +179,10 @@ def build_treedec(
                 continue
             contract(v)
         if forced:
-            if snapshot_residual:
-                for b in forced:
-                    for u, w in W[b].items():
-                        if b < u:
-                            residual[(b, u)] = w
+            for b in forced:
+                for u, w in W[b].items():
+                    if b < u:
+                        residual[(b, u)] = w
             for v in sorted(forced):
                 contract(v)
 
@@ -258,28 +256,25 @@ def shortcut(td: TreeDec, a: int, b: int) -> float:
 def recompute_shortcut(td: TreeDec, graph: Graph, v: int, u: int, *, exclude: set[int] | None = None) -> float:
     """Exact recomputation of sc(v,u) from base edge + contributor mins.
 
-    The contributor gather positions are cached per pair (first touch
-    builds them), so repeated maintenance passes are one vectorized min.
-    ``exclude`` drops contributors (used for Theorem-2 residual values,
-    which must ignore candidates produced by contracting boundary
-    vertices) and falls back to the scalar path.
+    The contributors and their gather positions are cached per pair
+    (first touch builds them), so repeated maintenance passes are one
+    vectorized min. ``exclude`` drops contributors from that gather (used
+    for Theorem-2 residual values, which must ignore candidates produced
+    by contracting boundary vertices).
     """
     best = graph.adj[v].get(u, INF)
     key = (v, u) if v < u else (u, v)
-    if exclude is not None:
-        for x in td.contrib.get(key, ()):
-            if x in exclude:
-                continue
-            best = min(best, float(td.sc[x][td.nidx[x][v]]) + float(td.sc[x][td.nidx[x][u]]))
-        return best
     sup = td._support.get(key)
     if sup is None:
         xs = td.contrib.get(key, ())
         pa = np.fromiter((td.flat_off[x] + td.nidx[x][v] for x in xs), dtype=np.int64, count=len(xs))
         pb = np.fromiter((td.flat_off[x] + td.nidx[x][u] for x in xs), dtype=np.int64, count=len(xs))
-        sup = (pa, pb)
+        sup = (xs, pa, pb)
         td._support[key] = sup
-    pa, pb = sup
+    xs, pa, pb = sup
+    if exclude is not None:
+        keep = np.fromiter((x not in exclude for x in xs), dtype=bool, count=len(xs))
+        pa, pb = pa[keep], pb[keep]
     if len(pa):
         best = min(best, float((td.flat[pa] + td.flat[pb]).min()))
     return best

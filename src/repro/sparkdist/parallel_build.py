@@ -56,7 +56,7 @@ def spark_residuals(spark: SparkSession, graph: Graph, part: Partition) -> DataF
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
         pid, vertices, _, gl, bset = _local_unit(pdf, part)
-        td = build_treedec(gl, forced_last=bset, snapshot_residual=True)
+        td = build_treedec(gl, forced_last=bset)
         rows = [
             (pid, vertices[a], vertices[b], w) for (a, b), w in td.residual.items()
         ]
@@ -73,7 +73,7 @@ def local_residuals(graph: Graph, part: Partition) -> pd.DataFrame:
         vertices = part.parts[pid]
         gl, loc = graph.subgraph(vertices)
         bset = {loc[b] for b in part.boundary[pid]}
-        td = build_treedec(gl, forced_last=bset, snapshot_residual=True)
+        td = build_treedec(gl, forced_last=bset)
         for (a, b), w in td.residual.items():
             out.append((pid, vertices[a], vertices[b], w))
     return pd.DataFrame(out, columns=["pid", "u", "v", "w"])

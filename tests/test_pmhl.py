@@ -50,6 +50,23 @@ def test_theorem2_overlay_preserves_boundary_distances(built):
                 assert h2h_query(idx.td_o, idx.dis_o, idx.o_loc[a], idx.o_loc[b]) == pytest.approx(fw[a][b])
 
 
+def _overlay_label(idx, o):
+    """Overlay vertex ``o``'s label as (sorted hub vertex ids, distances)."""
+    anc = np.array([idx.ov_vertices[a] for a in idx.td_o.ancestors(o)], dtype=np.int64)
+    srt = np.argsort(anc)
+    return anc[srt], np.asarray(idx.dis_o[o])[srt]
+
+
+def _lemma2_label(idx, v):
+    """Lemma 2's L*(v): the overlay label for a boundary vertex, the
+    index's row otherwise."""
+    u = idx.units[int(idx.part.pid[v])]
+    l = u.loc[v]
+    if l in u.b_set:
+        return _overlay_label(idx, idx.o_loc[v])
+    return u.lstar[l]
+
+
 def test_lemma2_cross_boundary_2hop_cover(built):
     """L* hub arrays satisfy the 2-hop cover for cross-partition pairs."""
     idx, g, fw, seed = built
@@ -57,8 +74,8 @@ def test_lemma2_cross_boundary_2hop_cover(built):
     for s, t in pairs_for(g.n, 120, seed + 9):
         if idx.part.pid[s] == idx.part.pid[t]:
             continue
-        h1, d1 = idx._hubs_of(s)
-        h2, d2 = idx._hubs_of(t)
+        h1, d1 = _lemma2_label(idx, s)
+        h2, d2 = _lemma2_label(idx, t)
         assert hub_query(h1, d1, h2, d2) == pytest.approx(fw[s][t])
         cnt += 1
     assert cnt > 10
@@ -147,7 +164,7 @@ def _per_vertex_cross(idx, u):
     for v in reversed(td.order):
         if v not in u.b_set:
             disB[v] = np.min([td.sc[v][k] + disB[x] for k, x in enumerate(td.neigh[v])], axis=0)
-    b_hub = [idx.bhubs[u.vertices[l]] for l in u.b_local]
+    b_hub = [_overlay_label(idx, o) for o in u.b_ov]
     lstar = {}
     for v in range(u.gl.n):
         if v in u.b_set:
@@ -173,21 +190,23 @@ def test_dense_cross_index_equals_per_vertex_reference(built):
 
 
 def _assert_same_state(a, b):
-    """D, disB, every L* row and bhubs of ``a`` and ``b`` are bit-for-bit equal."""
+    """D, disB, every L* row and the boundary rows of ``a`` and ``b`` are
+    bit-for-bit equal."""
     for ua, ub in zip(a.units, b.units, strict=True):
         assert np.array_equal(ua.D, ub.D)
         assert np.array_equal(ua.disB, ub.disB)
         assert ua.lstar.keys() == ub.lstar.keys()
         for v, (h, d) in ua.lstar.items():
             assert np.array_equal(h, ub.lstar[v][0]) and np.array_equal(d, ub.lstar[v][1]), v
-    assert a.bhubs.keys() == b.bhubs.keys()
-    for g, (h, d) in a.bhubs.items():
-        assert np.array_equal(h, b.bhubs[g][0]) and np.array_equal(d, b.bhubs[g][1]), g
+        assert np.array_equal(ua.hubs, ub.hubs)
+        assert len(ua.lrows) == len(ub.lrows) == ua.gl.n
+        for l in ua.b_local:
+            assert np.array_equal(ua.lrows[l], ub.lrows[l]), l
 
 
 @pytest.mark.parametrize("seed,k", [(0, 3), (1, 4), (2, 3), (3, 4)])
 def test_incremental_state_equals_fresh_build(seed, k):
-    """After every batch, maintained disB / L* / bhubs / D are bit-for-bit
+    """After every batch, maintained disB / L* (boundary rows too) / D are bit-for-bit
     those of a from-scratch build on the updated graph."""
     g, coords, ups, _ = updated_case(seed, 20, 5)
     idx = PMHLIndex(g.copy(), k, coords)
@@ -234,15 +253,41 @@ def _pair_classes(idx):
 
 def test_query_cross_every_path_exact(built):
     """Each pair class of query_cross equals Floyd–Warshall exactly; each
-    cross-partition class also equals the generic hub_query over L*."""
+    cross-partition class also equals the generic hub_query over the
+    per-vertex (hubs, L* row) arrays."""
     idx, g, fw, seed = built
+
+    def label(v):
+        u = idx.units[int(idx.part.pid[v])]
+        return u.hubs, u.lrows[u.loc[v]]
+
     for cls, pairs in _pair_classes(idx).items():
         assert pairs, cls
         for s, t in pairs[:: max(1, len(pairs) // 60)]:
             d = idx.query_cross(s, t)
             assert d == fw[s][t], (cls, s, t)
             if cls not in ("same", "s==t"):
-                assert d == hub_query(*idx._hubs_of(s), *idx._hubs_of(t)), (cls, s, t)
+                assert d == hub_query(*label(s), *label(t)), (cls, s, t)
+
+
+def _assert_boundary_rows_are_overlay_labels(idx):
+    for u in idx.units:
+        for j, (l, o) in enumerate(zip(u.b_local, u.b_ov)):
+            row = u.lrows[l]
+            assert np.array_equal(row[u.bcols[j]], idx.dis_o[o]), l
+            rest = np.ones(len(row), dtype=bool)
+            rest[u.bcols[j]] = False
+            assert np.all(row[rest] == math.inf), l
+
+
+def test_boundary_rows_are_overlay_labels():
+    """A boundary vertex's L* row holds its overlay label at its ancestor
+    columns and INF elsewhere, after the build and after a batch."""
+    g, coords, ups, _ = updated_case(2, 20, 5)
+    idx = PMHLIndex(g.copy(), 4, coords)
+    _assert_boundary_rows_are_overlay_labels(idx)
+    idx.apply_batch(ups[0])
+    _assert_boundary_rows_are_overlay_labels(idx)
 
 
 def test_batch_leaves_published_arrays_unchanged():

@@ -1,5 +1,7 @@
 """Tree-decomposition engine: structure invariants, Definition 1,
 Lemma 4 (CH ≡ TD shortcuts), and dynamic shortcut maintenance."""
+import math
+
 import numpy as np
 import pytest
 
@@ -107,9 +109,34 @@ def test_boundary_first_order(td_case):
 def test_residual_snapshot_matches_recompute():
     g, _, _ = small_case(4)
     forced = set(range(0, g.n, 5))
-    td = build_treedec(g, forced_last=forced, snapshot_residual=True)
+    td = build_treedec(g, forced_last=forced)
+    assert td.residual
     for (a, b), w in td.residual.items():
         assert recompute_shortcut(td, g, a, b, exclude=forced) == pytest.approx(w)
+
+
+def test_recompute_shortcut_exclude_after_cached_gather():
+    """``exclude`` masks the cached contributor gather: a pair first
+    recomputed in full (filling the cache), then with ``exclude``, gives
+    the brute-force min over its contributors both times."""
+    g, _, _ = small_case(4)
+    forced = set(range(0, g.n, 5))
+    td = build_treedec(g, forced_last=forced)
+
+    def brute(a, b, skip):
+        best = g.adj[a].get(b, math.inf)
+        for x in td.contrib[(a, b)]:
+            if x not in skip:
+                best = min(best, float(td.sc[x][td.nidx[x][a]]) + float(td.sc[x][td.nidx[x][b]]))
+        return best
+
+    mixed = 0
+    for (a, b), xs in td.contrib.items():
+        assert recompute_shortcut(td, g, a, b) == brute(a, b, set())
+        assert (a, b) in td._support
+        assert recompute_shortcut(td, g, a, b, exclude=forced) == brute(a, b, forced)
+        mixed += 0 < sum(x in forced for x in xs) < len(xs)
+    assert mixed > 0
 
 
 def test_flat_storage_views(td_case):
