@@ -6,8 +6,9 @@ This is the shared engine behind every index in the paper:
   same vertex order (Lemma 4), so ``TreeDec`` *is* the CH index.
 - H2H/MHL distance labels are a top-down DP over the tree
   (``build_labels``), and DH2H's bottom-up shortcut maintenance is
-  ``update_shortcuts`` (contributor lists give exact recomputation of
-  ``sc(v,u) = min(w(v,u), min_x sc(x,v)+sc(x,u))`` in rank order).
+  ``update_shortcuts``: static support tables + a depth sweep give exact
+  recomputation of ``sc(v,u) = min(w(v,u), min_x sc(x,v)+sc(x,u))``,
+  deepest owners first, one vectorized gather per tree depth.
 - PMHL partition indexes use the *boundary-first* order: non-boundary
   vertices are eliminated by minimum degree, then boundary vertices; the
   residual graph snapshot taken between the two phases supplies the
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +40,17 @@ class TreeDec:
 
     ``neigh[v]``/``sc[v]`` are X(v).N and its shortcut weights, sorted by
     ascending rank (so ``pos[v]`` — neighbor depths — is ascending too).
-    ``contrib[(a, b)]`` (a, b rank-sorted) lists every vertex whose
-    contraction produced a candidate for shortcut (a, b).
+
+    Shortcut *positions* index ``flat``: position p is the shortcut
+    ``(own[p], nbr[p])`` with base edge weight ``base[p]`` (INF if the
+    graph has no such edge). Support tables + depth sweep: the tree never
+    changes shape, so the contributors of every shortcut are fixed —
+    x supports (a, b) iff a, b ∈ X(x).N — and stored as a CSR
+    (``sup_ptr``: position → entries; ``sup_a``/``sup_b``: the positions
+    of sc(x, a) and sc(x, b)), with its transpose (``dep_ptr``/``dep``:
+    position → the positions it supports). A supported shortcut's owner
+    is an ancestor of every contributor, so ``pdepth`` (owner depth per
+    position) orders an exact deepest-first sweep.
     """
 
     n: int
@@ -55,14 +66,21 @@ class TreeDec:
     qpos: list[np.ndarray]
     roots: list[int]
     root_of: np.ndarray
-    contrib: dict[tuple[int, int], list[int]]
     residual: dict[tuple[int, int], float] = field(default_factory=dict)
     _up: np.ndarray | None = None  # binary-lifting table, built lazily
     # Flat shortcut storage: sc[v] are views into `flat`; `flat_off[v]`
-    # is v's row offset. Lets pair recomputation be one NumPy gather.
+    # is v's row offset.
     flat: np.ndarray | None = None
     flat_off: np.ndarray | None = None
-    _support: dict = field(default_factory=dict)  # pair -> (contributors, posA, posB)
+    own: np.ndarray | None = None
+    nbr: np.ndarray | None = None
+    base: np.ndarray | None = None
+    pdepth: np.ndarray | None = None
+    sup_ptr: np.ndarray | None = None
+    sup_a: np.ndarray | None = None
+    sup_b: np.ndarray | None = None
+    dep_ptr: np.ndarray | None = None
+    dep: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # LCA
@@ -138,7 +156,6 @@ def build_treedec(
     W: list[dict[int, float]] = [dict(a) for a in graph.adj]
     contracted = [False] * n
     order: list[int] = []
-    contrib: dict[tuple[int, int], list[int]] = {}
     neigh: list[list[int]] = [[] for _ in range(n)]
     scw: list[list[float]] = [[] for _ in range(n)]
     residual: dict[tuple[int, int], float] = {}
@@ -159,8 +176,6 @@ def build_treedec(
                 if old is None or cand < old:
                     W[a][b] = cand
                     W[b][a] = cand
-                key = (a, b) if a < b else (b, a)
-                contrib.setdefault(key, []).append(v)
         W[v].clear()
         contracted[v] = True
         order.append(v)
@@ -194,8 +209,8 @@ def build_treedec(
         rank[v] = r
 
     # Sort each neighbor row by ascending rank (⇒ ascending depth), then
-    # lay all rows out in one flat array so dynamic-maintenance pair
-    # recomputation can gather contributor values vectorized.
+    # lay all rows out in one flat array so dynamic maintenance can
+    # gather contributor values vectorized.
     nidx: list[dict[int, int]] = [dict() for _ in range(n)]
     flat_off = np.zeros(n + 1, dtype=np.int64)
     rows: list[list[float]] = [[]] * n
@@ -238,56 +253,111 @@ def build_treedec(
         pos[v] = p
         qpos[v] = np.append(p, depth[v])
 
-    return TreeDec(
+    own = np.repeat(np.arange(n, dtype=np.int32), np.diff(flat_off))
+    nbr = np.fromiter((u for nb in neigh for u in nb), dtype=np.int32, count=len(flat))
+    base = np.fromiter(
+        (graph.adj[v].get(u, INF) for v, nb in enumerate(neigh) for u in nb), dtype=np.float64, count=len(flat)
+    )
+    td = TreeDec(
         n=n, order=order, rank=rank, neigh=neigh, sc=sc_arr, nidx=nidx,
         parent=parent, children=children, depth=depth, pos=pos, qpos=qpos,
-        roots=roots, root_of=root_of, contrib=contrib, residual=residual,
-        flat=flat, flat_off=flat_off,
+        roots=roots, root_of=root_of, residual=residual,
+        flat=flat, flat_off=flat_off, own=own, nbr=nbr, base=base,
+        pdepth=depth[own].astype(np.int32),
     )
+    _support_tables(td)
+    return td
+
+
+def _support_tables(td: TreeDec) -> None:
+    """Derive the support CSR and its transpose from the final rows.
+
+    Contracting x produced a candidate for every pair (a, b) of X(x).N,
+    a of lower rank (rows are rank-sorted, so a = row entry i < j = b).
+    Rows of one degree d share ``triu_indices(d, 1)``, so each degree is
+    one step. The pair's position is a ``searchsorted`` on the row keys
+    ``own·n + rank[nbr]``, which ascend with the position. Entry k of a
+    row supports the d - 1 pairs of k with the row's other entries, so
+    the transpose is laid out row by row with no sort; the support
+    entries are grouped by target with one stable ``argsort``. All
+    tables are int32.
+    """
+    off, P = td.flat_off, len(td.flat)
+    keys = td.own.astype(np.int64) * td.n + td.rank[td.nbr]
+    deg = np.diff(off)
+    td.dep_ptr = np.concatenate([[0], np.cumsum(deg[td.own] - 1)]).astype(np.int32)
+    td.dep = np.empty(td.dep_ptr[-1], dtype=np.int32)
+    pa_l, pb_l, t_l = [], [], []
+    for d in np.unique(deg[deg >= 2]).tolist():
+        i, j = np.triu_indices(d, 1)
+        start = off[:-1][deg == d][:, None]
+        pa, pb = start + i, start + j
+        t = np.searchsorted(keys, td.nbr[pa].astype(np.int64) * td.n + td.rank[td.nbr[pb]]).astype(np.int32)
+        pair = np.zeros((d, d), dtype=np.int64)
+        pair[i, j] = pair[j, i] = np.arange(len(i))
+        pat = pair[~np.eye(d, dtype=bool)]  # row k: pairs of k with every j != k
+        td.dep[td.dep_ptr[start] + np.arange(len(pat))] = t[:, pat]
+        pa_l.append(pa.ravel().astype(np.int32))
+        pb_l.append(pb.ravel().astype(np.int32))
+        t_l.append(t.ravel())
+    t = np.concatenate([np.empty(0, dtype=np.int32), *t_l])
+    by_t = np.argsort(t, kind="stable")
+    td.sup_ptr = np.concatenate([[0], np.cumsum(np.bincount(t, minlength=P))]).astype(np.int32)
+    td.sup_a = np.concatenate([t[:0], *pa_l])[by_t]
+    td.sup_b = np.concatenate([t[:0], *pb_l])[by_t]
+
+
+def _segments(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR entries of ``rows``, concatenated: (entry indices, each
+    row's start in the concatenation, each row's length)."""
+    s = ptr[rows]
+    ln = ptr[rows + 1] - s
+    starts = np.cumsum(ln) - ln
+    return np.arange(int(ln.sum())) + np.repeat(s - starts, ln), starts, ln
+
+
+def position(td: TreeDec, a: int, b: int) -> int:
+    """``flat`` position of the shortcut between a and b (must be a TD
+    shortcut): it sits in the row of the lower-rank endpoint."""
+    if td.rank[a] > td.rank[b]:
+        a, b = b, a
+    return int(td.flat_off[a]) + td.nidx[a][b]
 
 
 def shortcut(td: TreeDec, a: int, b: int) -> float:
     """Current shortcut weight between a and b (must be a TD shortcut)."""
-    if td.rank[a] > td.rank[b]:
-        a, b = b, a
-    return float(td.sc[a][td.nidx[a][b]])
+    return float(td.flat[position(td, a, b)])
 
 
-def recompute_shortcut(td: TreeDec, graph: Graph, v: int, u: int, *, exclude: set[int] | None = None) -> float:
-    """Exact recomputation of sc(v,u) from base edge + contributor mins.
+def support_min(td: TreeDec, p: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
+    """Exact recomputation of the shortcuts at positions ``p``: the base
+    edge weight min every contributor's ``sc(x, a) + sc(x, b)``.
 
-    The contributors and their gather positions are cached per pair
-    (first touch builds them), so repeated maintenance passes are one
-    vectorized min. ``exclude`` drops contributors from that gather (used
-    for Theorem-2 residual values, which must ignore candidates produced
-    by contracting boundary vertices).
+    ``skip`` (bool per vertex) drops the contributors it marks: a
+    boundary pair's Theorem-2 *residual* value is its support without
+    the boundary contributors.
     """
-    best = graph.adj[v].get(u, INF)
-    key = (v, u) if v < u else (u, v)
-    sup = td._support.get(key)
-    if sup is None:
-        xs = td.contrib.get(key, ())
-        pa = np.fromiter((td.flat_off[x] + td.nidx[x][v] for x in xs), dtype=np.int64, count=len(xs))
-        pb = np.fromiter((td.flat_off[x] + td.nidx[x][u] for x in xs), dtype=np.int64, count=len(xs))
-        sup = (xs, pa, pb)
-        td._support[key] = sup
-    xs, pa, pb = sup
-    if exclude is not None:
-        keep = np.fromiter((x not in exclude for x in xs), dtype=bool, count=len(xs))
-        pa, pb = pa[keep], pb[keep]
-    if len(pa):
-        best = min(best, float((td.flat[pa] + td.flat[pb]).min()))
-    return best
+    idx, starts, ln = _segments(td.sup_ptr, p)
+    a = td.sup_a[idx]
+    vals = td.flat[a] + td.flat[td.sup_b[idx]]
+    if skip is not None:
+        vals[skip[td.own[a]]] = INF
+    out = td.base[p]
+    nz = ln > 0
+    if nz.any():
+        out[nz] = np.minimum(out[nz], np.minimum.reduceat(vals, starts[nz]))
+    return out
 
 
 @dataclass
 class ShortcutUpdate:
-    """Result of one bottom-up shortcut pass."""
+    """Result of one bottom-up shortcut pass (arrays of ``flat``
+    positions, sorted)."""
 
-    affected: set[int]                       # owners whose row changed
-    changed_pairs: set[tuple[int, int]]      # (owner, hi) pairs whose value changed
-    recomputed_pairs: set[tuple[int, int]]   # every dirty pair that was recomputed
-    escaped: dict[int, set[int]]             # dirt owned outside `subset`
+    affected: set[int]           # owners whose row changed
+    changed_pairs: np.ndarray    # positions whose value changed
+    recomputed_pairs: np.ndarray # every dirty position that was recomputed
+    escaped: np.ndarray          # dirty positions owned outside `subset`
 
 
 def update_shortcuts(
@@ -295,84 +365,76 @@ def update_shortcuts(
     graph: Graph,
     changed_edges: list[tuple[int, int]],
     *,
-    subset: set[int] | None = None,
-    seed_dirty: dict[int, set[int]] | None = None,
+    subset: np.ndarray | None = None,
+    seed: Sequence[np.ndarray] = (),
 ) -> ShortcutUpdate:
-    """Bottom-up shortcut maintenance (the DCH / DH2H U-Stage-2 engine).
+    """Bottom-up shortcut maintenance (the DCH / DH2H U-Stage-2 engine):
+    support tables + depth sweep.
 
-    ``graph`` must already hold the new weights. Processes dirty shortcut
-    owners in ascending rank; a changed row marks every dependent pair
-    dirty (owner = lower-rank endpoint, always of higher rank than the
-    contributor, so a single sweep is exact for increases *and*
-    decreases).
+    ``graph`` must already hold the new weights of ``changed_edges``;
+    their base weights are refreshed and their positions marked dirty.
+    Each step recomputes the dirty positions of the deepest pending
+    owner depth with one ``support_min``, writes the values that changed
+    and marks their dependents dirty. A dependent's owner is strictly
+    shallower, so one sweep is exact for increases *and* decreases.
 
-    ``subset``: only owners inside it are processed (PostMHL processes
-    each partition's subtree in parallel); dirt escaping to owners
-    outside the subset is returned via ``escaped`` for a later pass
-    (feed it back through ``seed_dirty``).
+    ``subset`` (bool per vertex, closed under tree descendants): only
+    positions owned inside it are processed (PostMHL processes each
+    partition's subtree in parallel); dirt on owners outside it is
+    returned as ``escaped`` for a later pass (``seed`` takes the
+    ``escaped`` arrays of earlier passes).
 
     ``recomputed_pairs`` ⊇ ``changed_pairs`` matters for Theorem-2
     residual maintenance: a boundary pair's *residual* value (ignoring
     boundary contributors) can change even when its full value does not.
     """
-    dirty: dict[int, set[int]] = {k: set(v) for k, v in (seed_dirty or {}).items()}
+    pend = [np.empty(0, dtype=np.int64), *seed]
+    if changed_edges:
+        ep = np.empty(len(changed_edges), dtype=np.int64)
+        for k, (u, v) in enumerate(changed_edges):
+            ep[k] = position(td, u, v)
+            td.base[ep[k]] = graph.adj[u][v]
+        pend.append(ep)
+    pend = np.unique(np.concatenate(pend))
+    dirty = np.zeros(len(td.flat), dtype=bool)
+    dirty[pend] = True
+    escaped, recomputed, changed = [], [], []
 
-    def owner_of(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if td.rank[a] < td.rank[b] else (b, a)
+    def inside(p: np.ndarray) -> np.ndarray:
+        if subset is None:
+            return p
+        out = ~subset[td.own[p]]
+        escaped.append(p[out])
+        return p[~out]
 
-    for u, v in changed_edges:
-        o, hi = owner_of(u, v)
-        if hi in td.nidx[o]:
-            dirty.setdefault(o, set()).add(td.nidx[o][hi])
+    pend = inside(pend)
+    while len(pend):
+        dep = td.pdepth[pend]
+        top = dep == dep.max()
+        sel, pend = pend[top], pend[~top]
+        recomputed.append(sel)
+        new = support_min(td, sel)
+        diff = new != td.flat[sel]
+        if diff.any():
+            ch = sel[diff]
+            td.flat[ch] = new[diff]
+            changed.append(ch)
+            nxt = td.dep[_segments(td.dep_ptr, ch)[0]]
+            nxt = np.unique(nxt[~dirty[nxt]])
+            dirty[nxt] = True
+            pend = np.concatenate([pend, inside(nxt)])
 
-    heap = [(int(td.rank[v]), v) for v in dirty]
-    heapq.heapify(heap)
-    inheap = set(dirty)
-    affected: set[int] = set()
-    changed_pairs: set[tuple[int, int]] = set()
-    recomputed_pairs: set[tuple[int, int]] = set()
-    escaped: dict[int, set[int]] = {}
+    changed_pos = _sorted_cat(changed)
+    return ShortcutUpdate(
+        affected=set(td.own[changed_pos].tolist()),
+        changed_pairs=changed_pos,
+        recomputed_pairs=_sorted_cat(recomputed),
+        escaped=_sorted_cat(escaped),
+    )
 
-    while heap:
-        _, v = heapq.heappop(heap)
-        inheap.discard(v)
-        if subset is not None and v not in subset:
-            escaped.setdefault(v, set()).update(dirty.get(v, ()))
-            dirty.pop(v, None)
-            continue
-        idxs = dirty.pop(v, set())
-        row_changed: list[int] = []
-        for i in idxs:
-            u = td.neigh[v][i]
-            recomputed_pairs.add((v, u))
-            new = recompute_shortcut(td, graph, v, u)
-            if new != td.sc[v][i]:
-                td.sc[v][i] = new
-                row_changed.append(i)
-                changed_pairs.add((v, u))
-        if not row_changed:
-            continue
-        affected.add(v)
-        # v is a contributor to every pair of its neighbors; pairs touching
-        # a changed neighbor entry must be recomputed at their owner.
-        nb = td.neigh[v]
-        for i in row_changed:
-            a = nb[i]
-            for j in range(len(nb)):
-                if j == i:
-                    continue
-                b = nb[j]
-                o, hi = owner_of(a, b)
-                k = td.nidx[o].get(hi)
-                if k is None:
-                    continue  # pair was never materialized as a shortcut
-                s = dirty.setdefault(o, set())
-                if k not in s:
-                    s.add(k)
-                    if o not in inheap:
-                        heapq.heappush(heap, (int(td.rank[o]), o))
-                        inheap.add(o)
-    return ShortcutUpdate(affected, changed_pairs, recomputed_pairs, escaped)
+
+def _sorted_cat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------

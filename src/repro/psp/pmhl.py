@@ -41,7 +41,8 @@ from repro.core.treedec import (
     build_labels,
     build_treedec,
     h2h_query,
-    recompute_shortcut,
+    position,
+    support_min,
     update_shortcuts,
 )
 from repro.partition.partitioner import Partition, partition_graph
@@ -175,10 +176,15 @@ class PartitionUnit:
     b_global: list[int] = field(default_factory=list)
     b_ov: list[int] = field(default_factory=list)      # boundary, overlay ids
     b_set: set[int] = field(default_factory=set)       # local boundary set
+    b_mask: np.ndarray | None = None                   # local boundary, bool per vertex
     elim_order: list[int] = field(default_factory=list)
     td: TreeDec | None = None                          # no-boundary
     dis: list | None = None
-    residual: dict[tuple[int, int], float] = field(default_factory=dict)
+    # Theorem-2 residual boundary pairs: their ``td.flat`` positions,
+    # residual values and overlay endpoints
+    res_pos: np.ndarray | None = None
+    res_w: np.ndarray | None = None
+    res_ov: list[tuple[int, int]] = field(default_factory=list)
     gpost: Graph | None = None                         # extended partition G'_i
     td_post: TreeDec | None = None
     dis_post: list | None = None
@@ -238,6 +244,8 @@ class PMHLIndex:
             u = PartitionUnit(pid=i, vertices=self.part.parts[i], loc=loc, gl=gl)
             u.b_global = list(self.part.boundary[i])
             u.b_set = {loc[b] for b in u.b_global}
+            u.b_mask = np.zeros(gl.n, dtype=bool)
+            u.b_mask[list(u.b_set)] = True
             self.units.append(u)
 
     def build(self) -> None:
@@ -280,7 +288,9 @@ class PMHLIndex:
             u.elim_order = nonb_order + b_sorted
             u.td = build_treedec(u.gl, fixed_order=u.elim_order)
             u.dis = build_labels(u.td) if self.level != "shortcut" else None
-            u.residual = dict(residual)
+            u.res_pos = np.array([position(u.td, a, b) for a, b in residual], dtype=np.int64)
+            u.res_w = np.array(list(residual.values()), dtype=np.float64)
+            u.res_ov = [(self.o_loc[u.vertices[a]], self.o_loc[u.vertices[b]]) for a, b in residual]
             t_parts2[u.pid] = time.perf_counter() - t0
 
         if self.level == "shortcut":
@@ -456,20 +466,17 @@ class PMHLIndex:
             res = update_shortcuts(u.td, u.gl, loc_edges)
             affected_lab[i] = res.affected
             # Theorem-2 residuals: refresh overlay base edges whose
-            # residual (boundary-contributor-free) value changed.
-            for (a, b) in res.recomputed_pairs:
-                if a in u.b_set and b in u.b_set:
-                    key = (a, b) if a < b else (b, a)
-                    if key not in u.residual:
-                        continue
-                    nv = recompute_shortcut(u.td, u.gl, a, b, exclude=u.b_set)
-                    if nv != u.residual[key]:
-                        u.residual[key] = nv
-                        oa = self.o_loc[u.vertices[a]]
-                        ob = self.o_loc[u.vertices[b]]
-                        if self.og.adj[oa].get(ob, INF) != nv:
-                            self.og.set_weight(oa, ob, nv)
-                            ov_edge_changes.append((oa, ob))
+            # residual (boundary-contributor-free) value changed. Only a
+            # recomputed pair's residual can change.
+            k = np.flatnonzero(np.isin(u.res_pos, res.recomputed_pairs))
+            nv = support_min(u.td, u.res_pos[k], skip=u.b_mask)
+            moved = nv != u.res_w[k]
+            u.res_w[k[moved]] = nv[moved]
+            for j, w in zip(k[moved].tolist(), nv[moved].tolist()):
+                oa, ob = u.res_ov[j]
+                if self.og.adj[oa].get(ob, INF) != w:
+                    self.og.set_weight(oa, ob, w)
+                    ov_edge_changes.append((oa, ob))
             u2_parts[i] = time.perf_counter() - t0
         t0 = time.perf_counter()
         for a, b, w in inter:

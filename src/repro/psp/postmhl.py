@@ -22,7 +22,7 @@ a windowed ``build_labels`` (``col0``), and the cross-boundary phase the
 plain ``build_labels`` over the partition subtree.
 
 Update stages: U1 edge refresh → U2 shortcuts (partition-parallel
-passes + overlay pass over escaped dirt) → U3 overlay labels →
+sweeps + overlay sweep over the escaped dirty positions) → U3 overlay labels →
 U4 post-boundary and U5 cross-boundary per-partition in parallel.
 Queries per stage: BiDijkstra → CH → post-boundary (disB + overlay
 concatenation across partitions) → full H2H.
@@ -70,6 +70,10 @@ class PostMHLIndex:
         self.k = self.tdp.k
         self.novl = [int(self.td.depth[r]) for r in self.tdp.roots]
         self.ov_anc = [self.td.ancestors(r)[:-1] for r in self.tdp.roots]  # overlay ancestors
+        # Partition vertices. Dirt from partition i's edges only reaches
+        # i's subtree and overlay ancestors, so this one mask restricts
+        # every partition's U2 sweep to its own partition.
+        self.in_part = self.tdp.pid >= 0
         self.plans: list[tuple] = [()] * self.k  # disB_plan per partition
         self.D: list[np.ndarray | None] = [None] * self.k
         self.disB: list[np.ndarray | None] = [None] * graph.n
@@ -201,19 +205,17 @@ class PostMHLIndex:
 
         # ---- U2: shortcuts, partition-parallel then overlay ---------
         u2_parts: dict[int, float] = {}
-        seed: dict[int, set[int]] = {}
+        escaped: list[np.ndarray] = []
         part_affected: set[int] = set()
-        part_sets = [set(p) for p in self.tdp.parts]
         for i, edges in part_edges.items():
             t0 = time.perf_counter()
-            res = update_shortcuts(td, self.graph, edges, subset=part_sets[i])
+            res = update_shortcuts(td, self.graph, edges, subset=self.in_part)
             if res.affected:
                 part_affected.add(i)
-            for o, idxs in res.escaped.items():
-                seed.setdefault(o, set()).update(idxs)
+            escaped.append(res.escaped)
             u2_parts[i] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        res_o = update_shortcuts(td, self.graph, ov_edges, seed_dirty=seed)
+        res_o = update_shortcuts(td, self.graph, ov_edges, seed=escaped)
         out["u2"] = {"parts": u2_parts, "overlay": time.perf_counter() - t0}
 
         # ---- U3: overlay label update -------------------------------

@@ -217,6 +217,26 @@ def test_incremental_state_equals_fresh_build(seed, k):
         _assert_same_state(idx, PMHLIndex(g2.copy(), k, coords))
 
 
+@pytest.mark.parametrize("seed,k", [(0, 3), (1, 4)])
+def test_residuals_and_overlay_equal_fresh_build(seed, k):
+    """Theorem-2 residuals are maintained exactly: after every batch each
+    partition's residual values and no-boundary shortcuts, and the overlay
+    shortcuts, are bit-for-bit those of a from-scratch build."""
+    g, coords, ups, _ = updated_case(seed, 20, 5)
+    idx = PMHLIndex(g.copy(), k, coords)
+    g2 = g.copy()
+    for batch in ups:
+        idx.apply_batch(batch)
+        g2.apply_updates(batch)
+        ref = PMHLIndex(g2.copy(), k, coords)
+        for ua, ub in zip(idx.units, ref.units, strict=True):
+            assert np.array_equal(ua.res_pos, ub.res_pos)
+            assert np.array_equal(ua.res_w, ub.res_w)
+            assert np.array_equal(ua.td.flat, ub.td.flat)
+        assert idx.td_o.order == ref.td_o.order
+        assert np.array_equal(idx.td_o.flat, ref.td_o.flat)
+
+
 def test_incremental_state_equals_fresh_build_increase_only():
     """An increase-only batch, then a batch of inter-partition edges only
     (partitions without intra updates still see their D / L* move)."""

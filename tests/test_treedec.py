@@ -1,6 +1,7 @@
 """Tree-decomposition engine: structure invariants, Definition 1,
-Lemma 4 (CH ≡ TD shortcuts), and dynamic shortcut maintenance."""
-import math
+Lemma 4 (CH ≡ TD shortcuts), the support tables, and dynamic shortcut
+maintenance against the per-pair reference kernel."""
+import random
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from repro.core.treedec import (
     build_labels,
     build_treedec,
     h2h_query,
-    recompute_shortcut,
+    position,
     shortcut,
+    support_min,
     update_shortcuts,
 )
 from repro.graphs.generator import road_network, update_batches
+from tests.shortcut_reference import contributors, recompute, reference_update
+from tests.test_random_graphs import CASES, random_connected
 from tests.util import small_case
 
 
@@ -106,37 +110,86 @@ def test_boundary_first_order(td_case):
     assert td.order[-len(forced):] == [0, 1, 2, 3, 4]
 
 
+def _mask(n, vs):
+    m = np.zeros(n, dtype=bool)
+    m[list(vs)] = True
+    return m
+
+
 def test_residual_snapshot_matches_recompute():
     g, _, _ = small_case(4)
     forced = set(range(0, g.n, 5))
     td = build_treedec(g, forced_last=forced)
     assert td.residual
-    for (a, b), w in td.residual.items():
-        assert recompute_shortcut(td, g, a, b, exclude=forced) == pytest.approx(w)
+    pos = np.array([position(td, a, b) for a, b in td.residual], dtype=np.int64)
+    got = support_min(td, pos, skip=_mask(g.n, forced))
+    assert got.tolist() == pytest.approx(list(td.residual.values()))
 
 
-def test_recompute_shortcut_exclude_after_cached_gather():
-    """``exclude`` masks the cached contributor gather: a pair first
-    recomputed in full (filling the cache), then with ``exclude``, gives
-    the brute-force min over its contributors both times."""
+def test_support_min_skip_matches_brute_force():
+    """``skip`` masks contributors of the same gather: every pair
+    recomputed in full, then with ``skip``, gives the brute-force min
+    over its contributors both times, and leaves ``flat`` as it was."""
     g, _, _ = small_case(4)
     forced = set(range(0, g.n, 5))
     td = build_treedec(g, forced_last=forced)
-
-    def brute(a, b, skip):
-        best = g.adj[a].get(b, math.inf)
-        for x in td.contrib[(a, b)]:
-            if x not in skip:
-                best = min(best, float(td.sc[x][td.nidx[x][a]]) + float(td.sc[x][td.nidx[x][b]]))
-        return best
-
+    contrib = contributors(td)
+    pairs = list(contrib)
+    pos = np.array([position(td, a, b) for a, b in pairs], dtype=np.int64)
+    flat = td.flat.copy()
+    full = support_min(td, pos)
+    masked = support_min(td, pos, skip=_mask(g.n, forced))
+    assert np.array_equal(td.flat, flat)
     mixed = 0
-    for (a, b), xs in td.contrib.items():
-        assert recompute_shortcut(td, g, a, b) == brute(a, b, set())
-        assert (a, b) in td._support
-        assert recompute_shortcut(td, g, a, b, exclude=forced) == brute(a, b, forced)
+    for (a, b), f, m in zip(pairs, full.tolist(), masked.tolist()):
+        assert f == recompute(td, g, contrib, a, b)
+        assert m == recompute(td, g, contrib, a, b, exclude=forced)
+        xs = contrib[(a, b)]
         mixed += 0 < sum(x in forced for x in xs) < len(xs)
     assert mixed > 0
+
+
+def _trees():
+    g3, _, _ = small_case(3)
+    g4, _, _ = small_case(4)
+    out = [build_treedec(g3), build_treedec(g4, forced_last=set(range(0, g4.n, 5)))]
+    out += [build_treedec(random_connected(n, extra, seed)) for n, extra, seed in CASES]
+    return out
+
+
+@pytest.mark.parametrize("td", _trees())
+def test_support_tables_match_brute_force(td):
+    """Each position's support is {x : a, b ∈ X(x).N} as pairs of
+    positions (sc(x, a), sc(x, b)); each position's dependents are the
+    other pairs of its row."""
+    sup = {p: set() for p in range(len(td.flat))}
+    dep = {q: set() for q in range(len(td.flat))}
+    for x in range(td.n):
+        nb = td.neigh[x]
+        for i in range(len(nb)):
+            for j in range(i + 1, len(nb)):
+                p = position(td, nb[i], nb[j])
+                qa, qb = position(td, x, nb[i]), position(td, x, nb[j])
+                sup[p].add(frozenset((qa, qb)))
+                dep[qa].add(p)
+                dep[qb].add(p)
+    for p in range(len(td.flat)):
+        e = range(td.sup_ptr[p], td.sup_ptr[p + 1])
+        got = [frozenset((int(td.sup_a[k]), int(td.sup_b[k]))) for k in e]
+        assert len(got) == len(sup[p]) and set(got) == sup[p], p
+        d = td.dep[td.dep_ptr[p] : td.dep_ptr[p + 1]].tolist()
+        assert len(d) == len(dep[p]) and set(d) == dep[p], p
+    for v in range(td.n):
+        for k, u in enumerate(td.neigh[v]):
+            p = td.flat_off[v] + k
+            assert (td.own[p], td.nbr[p], td.pdepth[p]) == (v, u, td.depth[v])
+
+
+@pytest.mark.parametrize("td", _trees())
+def test_dependents_strictly_shallower(td):
+    for q in range(len(td.flat)):
+        for p in td.dep[td.dep_ptr[q] : td.dep_ptr[q + 1]].tolist():
+            assert td.depth[td.own[p]] < td.depth[td.own[q]]
 
 
 def test_flat_storage_views(td_case):
@@ -162,23 +215,77 @@ def test_update_shortcuts_equals_rebuild(seed):
             assert np.allclose(td.sc[v], ref.sc[v]), v
 
 
+def _pairs(td, p):
+    return set(zip(td.own[p].tolist(), td.nbr[p].tolist()))
+
+
 def test_update_shortcuts_subset_with_escape():
-    """Partition-restricted pass + escaped-dirt pass == full pass."""
+    """Partition-restricted sweep + a sweep seeded with its escaped dirt
+    == full pass; the escaped positions are the reference's."""
     g, _, _ = small_case(5)
     g = g.copy()  # never mutate the cached fixture graph
     td = build_treedec(g)
+    ref = build_treedec(g, fixed_order=td.order)
+    contrib = contributors(ref)
     batch = update_batches(g, batches=1, volume=30, seed=77)[0]
     g.apply_updates(batch)
     edges = [(u, v) for u, v, _ in batch]
-    # restrict to the lower half of the hierarchy; the rest escapes
+    # restrict to the lower half of the hierarchy (closed under tree
+    # descendants: they have lower rank); the rest escapes
     low = {v for v in range(g.n) if td.rank[v] < g.n // 2}
     low_edges = [e for e in edges if min(td.rank[e[0]], td.rank[e[1]]) < g.n // 2]
     hi_edges = [e for e in edges if e not in low_edges]
-    res = update_shortcuts(td, g, low_edges, subset=low)
-    update_shortcuts(td, g, hi_edges, seed_dirty=res.escaped)
+    res = update_shortcuts(td, g, low_edges, subset=_mask(g.n, low))
+    rr = reference_update(ref, g, contrib, low_edges, subset=low)
+    assert len(res.escaped)
+    assert _pairs(td, res.escaped) == {(o, ref.neigh[o][i]) for o, idxs in rr.escaped.items() for i in idxs}
+    update_shortcuts(td, g, hi_edges, seed=[res.escaped])
+    reference_update(ref, g, contrib, hi_edges, seed_dirty=rr.escaped)
+    fresh = build_treedec(g, fixed_order=td.order)
+    assert np.array_equal(td.flat, fresh.flat)
+    assert np.array_equal(td.flat, ref.flat)
+
+
+def _batches(g, mode, rnd, count=4, volume=20):
+    """``count`` batches of distinct edges, each weight doubled
+    (``inc``), halved (``dec``) or either at random (``mixed``). Lazy:
+    each batch reads the weights left by the batches applied before it."""
+    for _ in range(count):
+        edges = rnd.sample([(u, v) for u, v, _ in g.edges()], volume)
+        batch = []
+        for u, v in edges:
+            up = mode == "inc" or (mode == "mixed" and rnd.random() < 0.5)
+            batch.append((u, v, g.adj[u][v] * (2.0 if up else 0.5)))
+        yield batch
+
+
+GRAPHS = [("random", c) for c in CASES] + [("small", s) for s in (0, 3)]
+
+
+@pytest.mark.parametrize("mode", ["inc", "dec", "mixed"])
+@pytest.mark.parametrize("kind,arg", GRAPHS)
+def test_sweep_equals_reference_and_rebuild(kind, arg, mode):
+    """After every increase-only, decrease-only or mixed batch, the sweep
+    leaves ``flat`` bit-identical to the per-pair reference kernel and to
+    a fresh build in the same order, and reports the same work."""
+    g = random_connected(*arg) if kind == "random" else small_case(arg)[0].copy()
+    td = build_treedec(g)
     ref = build_treedec(g, fixed_order=td.order)
-    for v in range(td.n):
-        assert np.allclose(td.sc[v], ref.sc[v]), v
+    contrib = contributors(ref)
+    rnd = random.Random(f"{kind}{arg}{mode}")
+    for batch in _batches(g, mode, rnd, volume=min(20, g.m // 2)):
+        g.apply_updates(batch)
+        edges = [(u, v) for u, v, _ in batch]
+        res = update_shortcuts(td, g, edges)
+        rr = reference_update(ref, g, contrib, edges)
+        fresh = build_treedec(g, fixed_order=td.order)
+        assert np.array_equal(td.flat, ref.flat)
+        assert np.array_equal(td.flat, fresh.flat)
+        assert np.array_equal(td.base, fresh.base)
+        assert _pairs(td, res.changed_pairs) == rr.changed_pairs
+        assert _pairs(td, res.recomputed_pairs) == rr.recomputed_pairs
+        assert res.affected == rr.affected
+        assert len(res.recomputed_pairs) == len(rr.recomputed_pairs)
 
 
 def test_shortcut_helper(td_case):
