@@ -39,7 +39,8 @@ class TreeDec:
     """Tree decomposition + shortcut index of one graph.
 
     ``neigh[v]``/``sc[v]`` are X(v).N and its shortcut weights, sorted by
-    ascending rank (so ``pos[v]`` — neighbor depths — is ascending too).
+    ascending rank (so ``pos[v]`` — neighbor depths — is descending: the
+    first neighbor is the parent).
 
     Shortcut *positions* index ``flat``: position p is the shortcut
     ``(own[p], nbr[p])`` with base edge weight ``base[p]`` (INF if the
@@ -208,7 +209,7 @@ def build_treedec(
     for r, v in enumerate(order):
         rank[v] = r
 
-    # Sort each neighbor row by ascending rank (⇒ ascending depth), then
+    # Sort each neighbor row by ascending rank (⇒ descending depth), then
     # lay all rows out in one flat array so dynamic maintenance can
     # gather contributor values vectorized.
     nidx: list[dict[int, int]] = [dict() for _ in range(n)]

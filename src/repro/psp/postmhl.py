@@ -22,8 +22,12 @@ a windowed ``build_labels`` (``col0``), and the cross-boundary phase the
 plain ``build_labels`` over the partition subtree.
 
 Update stages: U1 edge refresh → U2 shortcuts (partition-parallel
-sweeps + overlay sweep over the escaped dirty positions) → U3 overlay labels →
-U4 post-boundary and U5 cross-boundary per-partition in parallel.
+sweeps + overlay sweep over the escaped dirty positions) → U3 overlay labels
+and the re-gathered ``D_i`` of partitions with a changed ``B_i`` row →
+U4 post-boundary and U5 cross-boundary per-partition in parallel. U4 is
+change-driven: it reads only ``D_i`` (a gather, :func:`boundary_gather`)
+and the partition's shortcuts, so it runs only where one of them changed;
+U5 runs wherever U4 ran or an overlay ancestor's row changed.
 Queries per stage: BiDijkstra → CH → post-boundary (disB + overlay
 concatenation across partitions) → full H2H.
 """
@@ -38,11 +42,26 @@ from repro.graphs.graph import Graph
 from repro.core.ch import ch_query_rows
 from repro.core.dijkstra import bidijkstra
 from repro.core.h2h import prune_to_subtree_roots
-from repro.core.treedec import build_labels, build_treedec, h2h_query, update_shortcuts
+from repro.core.treedec import TreeDec, build_labels, build_treedec, h2h_query, update_shortcuts
 from repro.partition.tdpartition import TDPartitionResult, td_partition
-from repro.psp.pmhl import boundary_matrix, build_disB, concat_min, disB_plan, relabel
+from repro.psp.pmhl import build_disB, concat_min, disB_plan, relabel
 
 INF = math.inf
+
+
+def boundary_gather(td: TreeDec, dis: list, root: int) -> np.ndarray:
+    """D_i among B_i = X(root).N, gathered from the label rows.
+
+    B_i lies on the root's ancestor path, so every pair is an ancestor
+    pair and ``d(b_a, b_b) = dis[deeper][depth(shallower)]`` — the value
+    ``h2h_query`` returns for it, bit for bit. ``X(root).N`` is in
+    descending depth, so ``b_a`` is the deeper one for every ``b > a``.
+    """
+    bs, dep = td.neigh[root], td.pos[root]
+    D = np.zeros((len(bs), len(bs)), dtype=np.float64)
+    for a in range(len(bs) - 1):
+        D[a, a + 1 :] = D[a + 1 :, a] = dis[bs[a]][dep[a + 1 :]]
+    return D
 
 
 class PostMHLIndex:
@@ -96,6 +115,7 @@ class PostMHLIndex:
             row = {b: j for j, b in enumerate(bs)}
             row.update((v, len(bs) + j) for j, v in enumerate(part))
             self.plans[i] = disB_plan(self.td, row, bs)
+            self.D[i] = boundary_gather(self.td, self.dis, self.tdp.roots[i])
             self._build_post(i)
             t_post[i] = time.perf_counter() - t0
             t0 = time.perf_counter()
@@ -111,7 +131,7 @@ class PostMHLIndex:
 
     def _build_post(self, i: int) -> None:
         """Post-boundary phase (Alg. 4 lines 5–31): disB + in-partition
-        entries, into fresh rows.
+        entries from ``D[i]`` and the partition's shortcuts, into fresh rows.
 
         ``disB`` of the partition is one ``build_disB`` matrix. Every
         overlay neighbour of a partition vertex lies in B_i, so once each
@@ -119,12 +139,10 @@ class PostMHLIndex:
         ``[novl, d)`` are ``build_labels`` windowed at ``col0 = novl``.
         """
         td = self.td
-        bs = self.tdp.boundary[i]
         root = self.tdp.roots[i]
-        self.D[i] = boundary_matrix(td, self.dis, bs)
         B = build_disB(td, self.plans[i], self.D[i])
         bdepth = td.pos[root]  # depths of B_i = X(root).N
-        for v, b in zip(self.tdp.parts[i], B[len(bs):]):
+        for v, b in zip(self.tdp.parts[i], B[len(bdepth):]):
             self.disB[v] = b
             row = np.full(int(td.depth[v]) + 1, INF, dtype=np.float64)
             row[bdepth] = b
@@ -218,27 +236,34 @@ class PostMHLIndex:
         res_o = update_shortcuts(td, self.graph, ov_edges, seed=escaped)
         out["u2"] = {"parts": u2_parts, "overlay": time.perf_counter() - t0}
 
-        # ---- U3: overlay label update -------------------------------
+        # ---- U3: overlay label update, then every D_i it may move --
         t0 = time.perf_counter()
         ov_affected = {v for v in res_o.affected if v in self.tdp.overlay}
         roots = prune_to_subtree_roots(td, ov_affected)
         changed_ov = relabel(td, self.dis, roots, self.tdp.overlay)
+        # changed_ov holds overlay vertices whose label values truly
+        # changed; D_i is a gather of B_i's rows, so only a changed B_i
+        # row can move it.
+        changed_D: set[int] = set()
+        for i, bs in enumerate(self.tdp.boundary):
+            if not changed_ov.isdisjoint(bs):
+                D = boundary_gather(td, self.dis, self.tdp.roots[i])
+                if not np.array_equal(D, self.D[i]):
+                    self.D[i] = D
+                    changed_D.add(i)
         out["u3"] = {"overlay": time.perf_counter() - t0}
 
         # ---- U4 + U5: post-/cross-boundary per partition ------------
-        # Overlay-pass affected owners can also sit *inside* partitions
-        # (an escaped pair's recomputation never does, but the overlay
-        # pass only touches overlay owners); partition-internal label
-        # damage comes from part_affected.
+        # disB and the in-partition columns read only D_i and the
+        # partition's shortcuts (whose changes U2's partition sweep
+        # reports: the overlay sweep only touches overlay owners), so U4
+        # runs where one of them changed; a skipped partition keeps its D
+        # and disB objects. The cross-boundary columns read the row of
+        # every overlay ancestor of the root, B_i among them.
         u4_parts: dict[int, float] = {}
         u5_parts: dict[int, float] = {}
         for i in range(self.k):
-            internal = i in part_affected or i in part_edges
-            # changed_ov holds overlay vertices whose label values truly
-            # changed. disB and the in-partition columns read only B_i's
-            # rows (through D); the cross-boundary columns read the row of
-            # every overlay ancestor of the root, B_i among them.
-            post = internal or any(b in changed_ov for b in self.tdp.boundary[i])
+            post = i in part_affected or i in changed_D
             if post:
                 t0 = time.perf_counter()
                 self._build_post(i)

@@ -1,9 +1,13 @@
 """PostMHL (Algorithm 4): correctness, DH2H equivalence, maintenance."""
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from repro.core.dijkstra import floyd_warshall
 from repro.core.h2h import H2HIndex
-from repro.psp.postmhl import PostMHLIndex
+from repro.psp.pmhl import boundary_matrix
+from repro.psp.postmhl import PostMHLIndex, boundary_gather
 from tests.util import pairs_for, small_case, updated_case
 
 PARAMS = [(0, 8, 4), (1, 8, 5), (2, 10, 4)]
@@ -109,12 +113,43 @@ def _pair_class(idx, s, t) -> str:
     return "ancestor" if idx.td.lca(s, t) in (s, t) else "same partition"
 
 
-@pytest.mark.parametrize("seed,tau,ke", PARAMS[:2])
-def test_postboundary_exact_before_u5(seed, tau, ke, monkeypatch):
+@lru_cache(maxsize=None)
+def _window_case(seed: int, width: int, height: int, x0: int, span: int):
+    """A graph, batch → reversal → batch where the batch doubles every
+    edge inside the grid columns ``[x0, x0 + span)``, and the all-pairs
+    distances after each."""
+    g, coords, fw0 = small_case(seed, width, height)
+    inside = [(u, v, w) for u, v, w in g.edges() if all(x0 <= coords[x][0] < x0 + span for x in (u, v))]
+    batch = [(u, v, w * 2.0) for u, v, w in inside]
+    g2 = g.copy()
+    g2.apply_updates(batch)
+    fw = floyd_warshall(g2)
+    return g, [batch, inside, batch], [fw, fw0, fw]
+
+
+def _case(case: tuple):
+    """(graph, batches, distances after each) of an ``updated_case``
+    argument tuple or of a ``("window", ...)`` one."""
+    if case[0] == "window":
+        return _window_case(*case[1:])
+    g, _, ups, truths = updated_case(*case)
+    return g, ups, truths
+
+
+# Columns 20-22 of this 40×5 grid: U2 changes rows of partitions 2 and 3,
+# D moves in 6 and 7, and the other five partitions skip U4 (U5 still
+# runs in all nine).
+WINDOW = (("window", 2, 40, 5, 20, 3), 8, 6)
+
+
+@pytest.mark.parametrize(
+    "case,tau,ke", [((0, 20, 5), 8, 4), ((1, 20, 5), 8, 5), WINDOW], ids=["0-8-4", "1-8-5", "window"]
+)
+def test_postboundary_exact_before_u5(case, tau, ke, monkeypatch):
     """Q-stage 3 needs U1–U4 only: with the cross-boundary phase skipped,
     every pair class is exact, disB is exact and the in-partition columns
     are the H2H labels."""
-    g, _, ups, truths = updated_case(seed, 20, 5)
+    g, ups, truths = _case(case)
     idx = PostMHLIndex(g.copy(), tau=tau, k_e=ke)
     ref = H2HIndex(g.copy())
     monkeypatch.setattr(PostMHLIndex, "_build_cross", lambda self, i: None)
@@ -122,7 +157,7 @@ def test_postboundary_exact_before_u5(seed, tau, ke, monkeypatch):
         idx.apply_batch(batch)
         ref.apply_batch(batch)
         classes: dict[str, int] = {}
-        for s in range(0, g.n, 2):
+        for s in range(0, g.n, g.n // 50):  # 50 sources
             for t in range(g.n):
                 assert idx.query_postboundary(s, t) == fw[s][t], (s, t)
                 c = _pair_class(idx, s, t)
@@ -159,17 +194,70 @@ def _assert_same_state(a: PostMHLIndex, b: PostMHLIndex) -> None:
         # batch 3 changes the row of an overlay ancestor of a partition
         # root outside B_i while every B_i row stays the same
         ((1, 30, 6, 3, 15), 10, 6),
+        # U4 skips partitions, some of which U5 still rebuilds
+        WINDOW,
     ],
-    ids=["seed0", "seed1", "seed2", "seed3", "ancestor-outside-B"],
+    ids=["seed0", "seed1", "seed2", "seed3", "ancestor-outside-B", "window"],
 )
 def test_incremental_state_equals_fresh_build(case, tau, ke):
     """After every batch, maintained D / disB / labels equal a from-scratch
     build on the updated graph."""
-    g, _, ups, _ = updated_case(*case)
+    g, ups, _ = _case(case)
     idx = PostMHLIndex(g.copy(), tau=tau, k_e=ke)
     for batch in ups:
-        idx.apply_batch(batch)
+        times = idx.apply_batch(batch)
+        if case[0] == "window":
+            assert 0 < len(times["u4"]["parts"]) < idx.k
         _assert_same_state(idx, PostMHLIndex(idx.graph.copy(), tau=tau, k_e=ke))
+
+
+@pytest.mark.parametrize("seed,tau,ke", PARAMS)
+def test_gathered_D_equals_boundary_matrix(seed, tau, ke):
+    """The gather of B_i's rows is bit for bit the H2H-query matrix."""
+    g, _, ups, _ = updated_case(seed, 20, 5)
+    idx = PostMHLIndex(g.copy(), tau=tau, k_e=ke)
+    for batch in [None, *ups]:
+        if batch is not None:
+            idx.apply_batch(batch)
+        for i, (root, bs) in enumerate(zip(idx.tdp.roots, idx.tdp.boundary)):
+            D = boundary_matrix(idx.td, idx.dis, bs)
+            assert np.array_equal(boundary_gather(idx.td, idx.dis, root), D), i
+            assert np.array_equal(idx.D[i], D), i
+
+
+def test_window_batch_skips_unchanged_partitions():
+    """U4 runs exactly where D_i or the partition's shortcuts changed; a
+    skipped partition keeps its D and disB objects."""
+    case, tau, ke = WINDOW
+    g, ups, _ = _case(case)
+    idx = PostMHLIndex(g.copy(), tau=tau, k_e=ke)
+    td = idx.td
+    D0, disB0 = list(idx.D), list(idx.disB)
+    flat0 = td.flat.copy()
+    times = idx.apply_batch(ups[0])
+    sc_moved = {
+        i
+        for i, part in enumerate(idx.tdp.parts)
+        if any(not np.array_equal(flat0[td.flat_off[v] : td.flat_off[v + 1]], td.sc[v]) for v in part)
+    }
+    D_moved = {i for i in range(idx.k) if not np.array_equal(D0[i], idx.D[i])}
+    ran = set(times["u4"]["parts"])
+    assert ran == sc_moved | D_moved
+    assert D_moved - sc_moved and 0 < len(ran) < idx.k
+    for i in set(range(idx.k)) - ran:
+        assert idx.D[i] is D0[i], i
+        assert all(idx.disB[v] is disB0[v] for v in idx.tdp.parts[i]), i
+
+
+def test_batch_after_reversal_runs_same_tasks():
+    """batch → reversal → batch: both applications of the batch start from
+    the same state, so they rebuild the same partitions."""
+    case, tau, ke = WINDOW
+    g, ups, _ = _case(case)
+    idx = PostMHLIndex(g.copy(), tau=tau, k_e=ke)
+    first, _, again = (idx.apply_batch(b) for b in ups)
+    for stage in ("u2", "u4", "u5"):
+        assert first[stage]["parts"].keys() == again[stage]["parts"].keys(), stage
 
 
 def test_incremental_state_equals_fresh_build_increase_only():
@@ -194,8 +282,6 @@ def test_batch_leaves_published_rows_unchanged():
 
 
 def test_maintenance_increase_only():
-    from repro.core.dijkstra import floyd_warshall
-
     g, _, fw0 = small_case(6, 20, 5)
     idx = PostMHLIndex(g.copy(), tau=8, k_e=4)
     batch = [(u, v, w * 3) for u, v, w in list(g.edges())[::4]]
