@@ -25,38 +25,29 @@ import math
 import time
 
 from repro.graphs.graph import Graph
-from repro.core.ch import ch_query_rows
-from repro.core.treedec import build_treedec, update_shortcuts
+from repro.core.ch import CHIndex
 
 INF = math.inf
 
 
-class TOAINIndex:
-    """Core-CH hybrid with an adaptive core-size knob."""
+class TOAINIndex(CHIndex):
+    """Core-CH hybrid with an adaptive core-size knob; tree build, DCH
+    maintenance, query driver and size are ``CHIndex``'s."""
 
     def __init__(self, graph: Graph, *, core_frac: float = 0.25):
-        self.graph = graph
-        t0 = time.perf_counter()
-        self.td = build_treedec(graph)
-        self.build_time = time.perf_counter() - t0
+        super().__init__(graph)
         self.set_core(int(core_frac * graph.n))
 
     def set_core(self, kappa: int) -> None:
         self.kappa = max(0, min(self.graph.n, kappa))
         self._core_min_rank = self.graph.n - self.kappa
 
-    def _is_core(self, v: int) -> bool:
-        return int(self.td.rank[v]) >= self._core_min_rank
-
     def _rows(self, u: int):
         """Edges the hybrid search relaxes at ``u``: graph edges below the
         core, upward shortcut rows inside it."""
-        if self._is_core(u):
+        if int(self.td.rank[u]) >= self._core_min_rank:
             return zip(self.td.neigh[u], self.td.sc[u])
         return self.graph.adj[u].items()
-
-    def query(self, s: int, t: int) -> float:
-        return ch_query_rows(self._rows, s, t)
 
     def tune(self, pairs: list[tuple[int, int]], fracs=(0.02, 0.05, 0.15, 0.4, 1.0)) -> float:
         """Pick the core fraction minimizing mean query time."""
@@ -71,12 +62,3 @@ class TOAINIndex:
                 best_t, best_frac = el, f
         self.set_core(int(best_frac * self.graph.n))
         return best_frac
-
-    def apply_batch(self, updates: list[tuple[int, int, float]]) -> float:
-        self.graph.apply_updates(updates)
-        t0 = time.perf_counter()
-        update_shortcuts(self.td, self.graph, [(u, v) for u, v, _ in updates])
-        return time.perf_counter() - t0
-
-    def index_size(self) -> int:
-        return sum(len(nb) for nb in self.td.neigh)

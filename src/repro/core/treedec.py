@@ -10,11 +10,11 @@ This is the shared engine behind every index in the paper:
   recomputation of ``sc(v,u) = min(w(v,u), min_x sc(x,v)+sc(x,u))``,
   deepest owners first, one vectorized gather per tree depth.
 - PMHL partition indexes use the *boundary-first* order: non-boundary
-  vertices are eliminated by minimum degree, then boundary vertices; the
-  residual graph snapshot taken between the two phases supplies the
-  overlay graph's boundary shortcuts (Theorem 2), and the partition is
-  then rebuilt with a fixed order whose boundary part follows the
-  overlay order.
+  vertices are eliminated by minimum degree, then boundary vertices.
+  ``boundary_residual`` contracts only the non-boundary vertices; the
+  weights left between boundary vertices are the overlay graph's
+  boundary shortcuts (Theorem 2). The partition tree is then built with
+  a fixed order whose boundary part follows the overlay order.
 
 Key structural invariant used throughout: ``X(v).N`` is a subset of
 ``v``'s tree ancestors, so a neighbor's *position in the ancestor array*
@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class TreeDec:
     qpos: list[np.ndarray]
     roots: list[int]
     root_of: np.ndarray
-    residual: dict[tuple[int, int], float] = field(default_factory=dict)
     _up: np.ndarray | None = None  # binary-lifting table, built lazily
     # Flat shortcut storage: sc[v] are views into `flat`; `flat_off[v]`
     # is v's row offset.
@@ -134,34 +133,19 @@ class TreeDec:
         return max((len(nb) for nb in self.neigh), default=0) + 1
 
 
-def build_treedec(
-    graph: Graph,
-    *,
-    forced_last: set[int] | None = None,
-    fixed_order: list[int] | None = None,
-) -> TreeDec:
-    """Eliminate all vertices of ``graph`` and build its TreeDec.
+def _eliminate(graph: Graph, *, order: list[int] | None = None, keep: np.ndarray | None = None):
+    """Contract ``order``, or by minimum degree (ties by vertex id) every
+    vertex not marked in ``keep`` (bool per vertex), adding fill-in edges.
 
-    - default: pure minimum-degree elimination (MDE), ties by vertex id;
-    - ``forced_last``: boundary-first mode — MDE over the non-forced
-      vertices first, then the forced set in ascending vertex id (PMHL
-      phase A; Spark's partition-parallel build). The residual
-      boundary-graph weights right before the first forced vertex is
-      contracted are recorded in ``residual`` (Theorem 2 — these are the
-      overlay graph's edges);
-    - ``fixed_order``: eliminate exactly in this order (PMHL phase B and
-      the post-boundary partition index, whose boundary part follows the
-      overlay order).
-    """
+    Returns the remaining weights ``W`` (entries left only between kept
+    vertices), the elimination order, and each contracted vertex's
+    neighbours and weights when it was contracted (its unsorted row)."""
     n = graph.n
     W: list[dict[int, float]] = [dict(a) for a in graph.adj]
     contracted = [False] * n
-    order: list[int] = []
+    elim: list[int] = []
     neigh: list[list[int]] = [[] for _ in range(n)]
     scw: list[list[float]] = [[] for _ in range(n)]
-    residual: dict[tuple[int, int], float] = {}
-
-    forced = forced_last or set()
 
     def contract(v: int) -> None:
         nbs = list(W[v].items())
@@ -179,13 +163,13 @@ def build_treedec(
                     W[b][a] = cand
         W[v].clear()
         contracted[v] = True
-        order.append(v)
+        elim.append(v)
 
-    if fixed_order is not None:
-        for v in fixed_order:
+    if order is not None:
+        for v in order:
             contract(v)
     else:
-        pq = [(len(W[v]), v) for v in range(n) if v not in forced]
+        pq = [(len(W[v]), v) for v in range(n) if keep is None or not keep[v]]
         heapq.heapify(pq)
         while pq:
             d, v = heapq.heappop(pq)
@@ -194,13 +178,30 @@ def build_treedec(
                     heapq.heappush(pq, (len(W[v]), v))
                 continue
             contract(v)
-        if forced:
-            for b in forced:
-                for u, w in W[b].items():
-                    if b < u:
-                        residual[(b, u)] = w
-            for v in sorted(forced):
-                contract(v)
+    return W, elim, neigh, scw
+
+
+def boundary_residual(graph: Graph, boundary_mask: np.ndarray) -> tuple[list[int], dict[tuple[int, int], float]]:
+    """Theorem 2's residual boundary graph, without building a tree:
+    contract every non-boundary vertex by MDE, then read the weights left
+    between boundary vertices. Returns the non-boundary elimination order
+    and the residual edges ``{(a, b): w}``, ``a < b`` (PMHL phase A)."""
+    W, order, _, _ = _eliminate(graph, keep=boundary_mask)
+    bs = np.flatnonzero(boundary_mask).tolist()
+    return order, {(b, u): w for b in bs for u, w in W[b].items() if b < u}
+
+
+def build_treedec(graph: Graph, *, fixed_order: list[int] | None = None) -> TreeDec:
+    """Eliminate all vertices of ``graph`` and build its TreeDec.
+
+    - default: pure minimum-degree elimination (MDE), ties by vertex id;
+    - ``fixed_order``: eliminate exactly in this order (PMHL phase B and
+      the post-boundary partition index, whose boundary part follows the
+      overlay order; Spark's partition labels, whose boundary part is in
+      ascending vertex id).
+    """
+    n = graph.n
+    _, order, neigh, scw = _eliminate(graph, order=fixed_order)
 
     if len(order) != n:
         raise ValueError("graph has isolated/disconnected leftovers; all vertices must be eliminated")
@@ -262,7 +263,7 @@ def build_treedec(
     td = TreeDec(
         n=n, order=order, rank=rank, neigh=neigh, sc=sc_arr, nidx=nidx,
         parent=parent, children=children, depth=depth, pos=pos, qpos=qpos,
-        roots=roots, root_of=root_of, residual=residual,
+        roots=roots, root_of=root_of,
         flat=flat, flat_off=flat_off, own=own, nbr=nbr, base=base,
         pdepth=depth[own].astype(np.int32),
     )

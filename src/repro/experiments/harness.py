@@ -9,6 +9,7 @@
 """
 from __future__ import annotations
 
+import gc
 import heapq
 import time
 from dataclasses import dataclass
@@ -29,18 +30,26 @@ class QueryStats:
 
 def measure_queries(fn, pairs, *, min_total: float = 0.02) -> QueryStats:
     """Time ``fn(s, t)`` per query; repeats the batch if it is too fast
-    for stable numbers (cheap index queries are microseconds)."""
+    for stable numbers (cheap index queries are microseconds). The
+    garbage collector is off while timing, as in ``timeit``: a collection
+    pause would land on whichever query triggers it."""
     times = []
     total = 0.0
     rounds = 0
-    while rounds == 0 or (total < min_total and rounds < 50):
-        for s, t in pairs:
-            t0 = time.perf_counter()
-            fn(s, t)
-            el = time.perf_counter() - t0
-            times.append(el)
-            total += el
-        rounds += 1
+    gc_on = gc.isenabled()
+    gc.disable()
+    try:
+        while rounds == 0 or (total < min_total and rounds < 50):
+            for s, t in pairs:
+                t0 = time.perf_counter()
+                fn(s, t)
+                el = time.perf_counter() - t0
+                times.append(el)
+                total += el
+            rounds += 1
+    finally:
+        if gc_on:
+            gc.enable()
     arr = np.array(times)
     return QueryStats(mean=float(arr.mean()), var=float(arr.var()), n=len(arr))
 

@@ -38,6 +38,7 @@ from repro.core.dijkstra import bidijkstra
 from repro.core.h2h import prune_to_subtree_roots
 from repro.core.treedec import (
     TreeDec,
+    boundary_residual,
     build_labels,
     build_treedec,
     h2h_query,
@@ -251,15 +252,14 @@ class PMHLIndex:
     def build(self) -> None:
         bt = self.build_times = {}
         t_parts1 = bt["parts_phase_a"] = {}
-        # Step 1 (phase A): contract non-boundary vertices by MDE, snapshot
-        # the residual boundary graph (Theorem 2's overlay shortcuts).
+        # Step 1 (phase A): contract non-boundary vertices by MDE; the
+        # residual boundary graph is Theorem 2's overlay shortcuts.
         pass1 = []
         for u in self.units:
             t0 = time.perf_counter()
-            td1 = build_treedec(u.gl, forced_last=u.b_set)
+            nonb_order, residual = boundary_residual(u.gl, u.b_mask)
             t_parts1[u.pid] = time.perf_counter() - t0
-            nonb_order = [v for v in td1.order if v not in u.b_set]
-            pass1.append((td1.residual, nonb_order))
+            pass1.append((residual, nonb_order))
 
         # Step 2+3: overlay graph from residual + inter edges; overlay MHL.
         t0 = time.perf_counter()

@@ -7,9 +7,11 @@ same NumPy contraction kernel inside the task. Two fan-outs are
 provided:
 
 - ``spark_residuals``: phase A of PMHL — contract each partition's
-  non-boundary vertices, emit the residual boundary shortcuts that form
-  the overlay graph (Theorem 2);
+  non-boundary vertices (``boundary_residual``, no tree is built) and
+  emit the residual boundary shortcuts that form the overlay graph
+  (Theorem 2);
 - ``spark_partition_labels``: build each partition's boundary-first MHL
+  (the non-boundary MDE order, then the boundary in ascending vertex id)
   and emit its H2H labels as flat (pid, v, hub, d) rows.
 
 Both return DataFrames checked in tests against the single-process
@@ -17,11 +19,12 @@ builders, so the distributed path and the local path cannot drift.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.graphs.graph import Graph
-from repro.core.treedec import build_labels, build_treedec
+from repro.core.treedec import boundary_residual, build_labels, build_treedec
 from repro.partition.partitioner import Partition
 from repro.sparkdist.labels_df import h2h_label_rows
 
@@ -47,19 +50,16 @@ def _local_unit(pdf: pd.DataFrame, part: Partition):
     gl = Graph(len(vertices))
     for u, v, w in zip(pdf["u"], pdf["v"], pdf["w"]):
         gl.add_edge(loc[int(u)], loc[int(v)], float(w))
-    bset = {loc[b] for b in part.boundary[pid]}
-    return pid, vertices, loc, gl, bset
+    return pid, vertices, gl, np.isin(np.arange(gl.n), [loc[b] for b in part.boundary[pid]])
 
 
 def spark_residuals(spark: SparkSession, graph: Graph, part: Partition) -> DataFrame:
     """Residual boundary shortcuts per partition, computed distributedly."""
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        pid, vertices, _, gl, bset = _local_unit(pdf, part)
-        td = build_treedec(gl, forced_last=bset)
-        rows = [
-            (pid, vertices[a], vertices[b], w) for (a, b), w in td.residual.items()
-        ]
+        pid, vertices, gl, bmask = _local_unit(pdf, part)
+        _, residual = boundary_residual(gl, bmask)
+        rows = [(pid, vertices[a], vertices[b], w) for (a, b), w in residual.items()]
         return pd.DataFrame(rows, columns=["pid", "u", "v", "w"])
 
     edges = spark.createDataFrame(partition_edges_pdf(graph, part))
@@ -72,9 +72,8 @@ def local_residuals(graph: Graph, part: Partition) -> pd.DataFrame:
     for pid in range(part.k):
         vertices = part.parts[pid]
         gl, loc = graph.subgraph(vertices)
-        bset = {loc[b] for b in part.boundary[pid]}
-        td = build_treedec(gl, forced_last=bset)
-        for (a, b), w in td.residual.items():
+        _, residual = boundary_residual(gl, np.isin(np.arange(gl.n), [loc[b] for b in part.boundary[pid]]))
+        for (a, b), w in residual.items():
             out.append((pid, vertices[a], vertices[b], w))
     return pd.DataFrame(out, columns=["pid", "u", "v", "w"])
 
@@ -83,8 +82,9 @@ def spark_partition_labels(spark: SparkSession, graph: Graph, part: Partition) -
     """Boundary-first partition H2H labels, one Spark task per partition."""
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        pid, vertices, _, gl, bset = _local_unit(pdf, part)
-        td = build_treedec(gl, forced_last=bset)
+        pid, vertices, gl, bmask = _local_unit(pdf, part)
+        order, _ = boundary_residual(gl, bmask)
+        td = build_treedec(gl, fixed_order=order + np.flatnonzero(bmask).tolist())
         dis = build_labels(td)
         rows = h2h_label_rows(td, dis, id_map=vertices)
         rows.insert(0, "pid", pid)

@@ -1,4 +1,6 @@
 """Measurement harness: LPT scheduling and stage walls."""
+import gc
+
 import pytest
 
 from repro.experiments.harness import (
@@ -80,3 +82,27 @@ def test_measure_queries_stats():
 
     st = measure_queries(fn, [(0, 1), (1, 2)], min_total=0.0)
     assert st.n >= 2 and st.mean > 0 and st.qps > 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_measure_queries_times_with_gc_off_and_restores_it(enabled):
+    """Queries run with the collector off; its earlier state comes back,
+    also when a query raises."""
+    seen = []
+
+    def fn(s, t):
+        seen.append(gc.isenabled())
+
+    def boom(s, t):
+        raise RuntimeError
+
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        measure_queries(fn, [(0, 1)], min_total=0.0)
+        assert seen == [False] and gc.isenabled() == enabled
+        with pytest.raises(RuntimeError):
+            measure_queries(boom, [(0, 1)])
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()

@@ -1,4 +1,5 @@
 """Distributed per-partition construction == single-process reference."""
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -10,7 +11,7 @@ from repro.sparkdist.parallel_build import (
     spark_partition_labels,
     spark_residuals,
 )
-from repro.core.treedec import build_labels, build_treedec
+from repro.core.treedec import boundary_residual, build_labels, build_treedec
 from repro.sparkdist.labels_df import h2h_label_rows
 
 
@@ -47,7 +48,8 @@ def test_spark_partition_labels_match_local(spark, case):
         vertices = part.parts[pid]
         gl, loc = g.subgraph(vertices)
         bset = {loc[b] for b in part.boundary[pid]}
-        td = build_treedec(gl, forced_last=bset)
+        order, _ = boundary_residual(gl, np.isin(np.arange(gl.n), list(bset)))
+        td = build_treedec(gl, fixed_order=order + sorted(bset))
         rows = h2h_label_rows(td, build_labels(td), id_map=vertices)
         rows.insert(0, "pid", pid)
         refs.append(rows)

@@ -1,12 +1,15 @@
 """Tree-decomposition engine: structure invariants, Definition 1,
 Lemma 4 (CH ≡ TD shortcuts), the support tables, and dynamic shortcut
 maintenance against the per-pair reference kernel."""
+import heapq
+import math
 import random
 
 import numpy as np
 import pytest
 
 from repro.core.treedec import (
+    boundary_residual,
     build_labels,
     build_treedec,
     h2h_query,
@@ -16,6 +19,7 @@ from repro.core.treedec import (
     update_shortcuts,
 )
 from repro.graphs.generator import road_network, update_batches
+from repro.partition.partitioner import partition_graph
 from tests.shortcut_reference import contributors, recompute, reference_update
 from tests.test_random_graphs import CASES, random_connected
 from tests.util import small_case
@@ -101,29 +105,86 @@ def test_lemma4_fixed_order_reproduces_mde(td_case):
         assert np.allclose(td2.sc[v], td.sc[v])
 
 
-def test_boundary_first_order(td_case):
-    g, _, _ = td_case
-    forced = {0, 1, 2, 3, 4}
-    td = build_treedec(g, forced_last=forced)
-    max_free = max(td.rank[v] for v in range(g.n) if v not in forced)
-    assert all(td.rank[v] > max_free for v in forced)
-    assert td.order[-len(forced):] == [0, 1, 2, 3, 4]
-
-
 def _mask(n, vs):
     m = np.zeros(n, dtype=bool)
     m[list(vs)] = True
     return m
 
 
+def _boundary_first(g, forced):
+    """``boundary_residual`` on ``forced`` and the boundary-first tree:
+    its non-boundary order, then ``forced`` in ascending vertex id."""
+    order, residual = boundary_residual(g, _mask(g.n, forced))
+    return build_treedec(g, fixed_order=order + sorted(forced)), order, residual
+
+
+def test_boundary_first_order(td_case):
+    g, _, _ = td_case
+    forced = {0, 1, 2, 3, 4}
+    td, order, _ = _boundary_first(g, forced)
+    assert sorted(order) == [v for v in range(g.n) if v not in forced]
+    max_free = max(td.rank[v] for v in range(g.n) if v not in forced)
+    assert all(td.rank[v] > max_free for v in forced)
+    assert td.order[-len(forced):] == [0, 1, 2, 3, 4]
+
+
 def test_residual_snapshot_matches_recompute():
     g, _, _ = small_case(4)
     forced = set(range(0, g.n, 5))
-    td = build_treedec(g, forced_last=forced)
-    assert td.residual
-    pos = np.array([position(td, a, b) for a, b in td.residual], dtype=np.int64)
+    td, _, residual = _boundary_first(g, forced)
+    assert residual
+    pos = np.array([position(td, a, b) for a, b in residual], dtype=np.int64)
     got = support_min(td, pos, skip=_mask(g.n, forced))
-    assert got.tolist() == pytest.approx(list(td.residual.values()))
+    assert got.tolist() == list(residual.values())
+
+
+def _interior_dijkstra(g, s, boundary):
+    """Distances from ``s`` over paths whose interior vertices are all
+    non-boundary: boundary vertices other than ``s`` are settled but not
+    expanded."""
+    dist = {s: 0.0}
+    done = set()
+    heap = [(0.0, s)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in done:
+            continue
+        done.add(v)
+        if v != s and v in boundary:
+            continue
+        for u, w in g.adj[v].items():
+            if d + w < dist.get(u, math.inf):
+                dist[u] = d + w
+                heapq.heappush(heap, (d + w, u))
+    return dist
+
+
+def _residual_cases():
+    """(graph, boundary): every 3rd vertex of the small and random cases
+    and the partitions of a road network with their real boundaries."""
+    out = [(g, set(range(0, g.n, 3))) for g in [small_case(4)[0], *(random_connected(*c) for c in CASES)]]
+    g, coords = road_network(24, 5, seed=6)
+    part = partition_graph(g, 4, coords)
+    for pid in range(part.k):
+        gl, loc = g.subgraph(part.parts[pid])
+        out.append((gl, {loc[b] for b in part.boundary[pid]}))
+    return out
+
+
+@pytest.mark.parametrize("g, boundary", _residual_cases())
+def test_boundary_residual_is_interior_shortest_paths(g, boundary):
+    """Theorem 2's residual edge (a, b) exists exactly when some a-b path
+    has only non-boundary interior vertices, and its weight is the
+    shortest such path (an independent Dijkstra oracle)."""
+    order, residual = boundary_residual(g, _mask(g.n, boundary))
+    assert sorted(order) == [v for v in range(g.n) if v not in boundary]
+    want = {}
+    for a in sorted(boundary):
+        dist = _interior_dijkstra(g, a, boundary)
+        want.update({(a, b): dist[b] for b in sorted(boundary) if a < b and b in dist})
+    assert residual.keys() == want.keys()
+    for pair, w in residual.items():
+        assert w == pytest.approx(want[pair], rel=1e-12), pair
 
 
 def test_support_min_skip_matches_brute_force():
@@ -132,7 +193,7 @@ def test_support_min_skip_matches_brute_force():
     over its contributors both times, and leaves ``flat`` as it was."""
     g, _, _ = small_case(4)
     forced = set(range(0, g.n, 5))
-    td = build_treedec(g, forced_last=forced)
+    td, _, _ = _boundary_first(g, forced)
     contrib = contributors(td)
     pairs = list(contrib)
     pos = np.array([position(td, a, b) for a, b in pairs], dtype=np.int64)
@@ -152,7 +213,7 @@ def test_support_min_skip_matches_brute_force():
 def _trees():
     g3, _, _ = small_case(3)
     g4, _, _ = small_case(4)
-    out = [build_treedec(g3), build_treedec(g4, forced_last=set(range(0, g4.n, 5)))]
+    out = [build_treedec(g3), _boundary_first(g4, set(range(0, g4.n, 5)))[0]]
     out += [build_treedec(random_connected(n, extra, seed)) for n, extra, seed in CASES]
     return out
 
