@@ -76,9 +76,9 @@ class CHIndex:
 
     def apply_batch(self, updates: list[tuple[int, int, float]]) -> float:
         """Apply a weight batch and maintain shortcuts; returns seconds."""
-        self.graph.apply_updates(updates)
+        applied = self.graph.apply_updates(updates)
         t0 = time.perf_counter()
-        update_shortcuts(self.td, self.graph, [(u, v) for u, v, _ in updates])
+        update_shortcuts(self.td, applied)
         return time.perf_counter() - t0
 
     def index_size(self) -> int:

@@ -42,13 +42,13 @@ def prune_to_subtree_roots(td, affected: set[int]) -> list[int]:
 class H2HIndex:
     """MHL index: tree decomposition + shortcut arrays + distance labels."""
 
-    def __init__(self, graph: Graph, *, build: bool = True):
+    def __init__(self, graph: Graph):
         self.graph = graph
         t0 = time.perf_counter()
         self.td = build_treedec(graph)
         self.shortcut_time = time.perf_counter() - t0
         t0 = time.perf_counter()
-        self.dis = build_labels(self.td) if build else [None] * graph.n
+        self.dis = build_labels(self.td)
         self.label_time = time.perf_counter() - t0
         self.build_time = self.shortcut_time + self.label_time
 
@@ -71,13 +71,11 @@ class H2HIndex:
         are correct), ``label`` (U3, after which H2H queries are correct).
         """
         t0 = time.perf_counter()
-        self.graph.apply_updates(updates)
+        applied = self.graph.apply_updates(updates)
         t_edge = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        res = update_shortcuts(
-            self.td, self.graph, [(u, v) for u, v, _ in updates]
-        )
+        res = update_shortcuts(self.td, applied)
         t_sc = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -89,5 +87,5 @@ class H2HIndex:
 
     def index_size(self) -> int:
         """Total label entries + shortcut entries."""
-        labels = sum(len(d) for d in self.dis if d is not None)
+        labels = sum(len(d) for d in self.dis)
         return labels + sum(len(nb) for nb in self.td.neigh)

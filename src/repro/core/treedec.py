@@ -8,7 +8,10 @@ This is the shared engine behind every index in the paper:
   (``build_labels``), and DH2H's bottom-up shortcut maintenance is
   ``update_shortcuts``: static support tables + a depth sweep give exact
   recomputation of ``sc(v,u) = min(w(v,u), min_x sc(x,v)+sc(x,u))``,
-  deepest owners first, one vectorized gather per tree depth.
+  deepest owners first, one vectorized gather per tree depth. It takes
+  a batch of ``(u, v, w)`` weight changes and writes each ``w`` into
+  ``TreeDec.base``, the only edge-weight copy maintenance keeps: no graph
+  is read after the build.
 - PMHL partition indexes use the *boundary-first* order: non-boundary
   vertices are eliminated by minimum degree, then boundary vertices.
   ``boundary_residual`` contracts only the non-boundary vertices; the
@@ -44,8 +47,12 @@ class TreeDec:
 
     Shortcut *positions* index ``flat``: position p is the shortcut
     ``(own[p], nbr[p])`` with base edge weight ``base[p]`` (INF if the
-    graph has no such edge). Support tables + depth sweep: the tree never
-    changes shape, so the contributors of every shortcut are fixed —
+    graph has no such edge). ``base`` is read from the graph at build;
+    after that ``update_shortcuts`` writes each changed weight into it,
+    so it is the one weight copy a maintained index keeps.
+
+    Support tables + depth sweep: the tree never changes shape, so the
+    contributors of every shortcut are fixed —
     x supports (a, b) iff a, b ∈ X(x).N — and stored as a CSR
     (``sup_ptr``: position → entries; ``sup_a``/``sup_b``: the positions
     of sc(x, a) and sc(x, b)), with its transpose (``dep_ptr``/``dep``:
@@ -364,8 +371,7 @@ class ShortcutUpdate:
 
 def update_shortcuts(
     td: TreeDec,
-    graph: Graph,
-    changed_edges: list[tuple[int, int]],
+    changes: Sequence[tuple[int, int, float]],
     *,
     subset: np.ndarray | None = None,
     seed: Sequence[np.ndarray] = (),
@@ -373,8 +379,9 @@ def update_shortcuts(
     """Bottom-up shortcut maintenance (the DCH / DH2H U-Stage-2 engine):
     support tables + depth sweep.
 
-    ``graph`` must already hold the new weights of ``changed_edges``;
-    their base weights are refreshed and their positions marked dirty.
+    ``changes`` are ``(u, v, w)`` edge-weight changes: each ``w`` is
+    written to the base weight ``td.base`` of the shortcut (u, v), whose
+    position is marked dirty. No graph is read.
     Each step recomputes the dirty positions of the deepest pending
     owner depth with one ``support_min``, writes the values that changed
     and marks their dependents dirty. A dependent's owner is strictly
@@ -391,11 +398,11 @@ def update_shortcuts(
     boundary contributors) can change even when its full value does not.
     """
     pend = [np.empty(0, dtype=np.int64), *seed]
-    if changed_edges:
-        ep = np.empty(len(changed_edges), dtype=np.int64)
-        for k, (u, v) in enumerate(changed_edges):
+    if changes:
+        ep = np.empty(len(changes), dtype=np.int64)
+        for k, (u, v, w) in enumerate(changes):
             ep[k] = position(td, u, v)
-            td.base[ep[k]] = graph.adj[u][v]
+            td.base[ep[k]] = w
         pend.append(ep)
     pend = np.unique(np.concatenate(pend))
     dirty = np.zeros(len(td.flat), dtype=bool)

@@ -2,8 +2,10 @@
 
 The paper's dynamic model (§II) only changes edge *weights* (increase or
 decrease); the edge set and every index structure built on it stay fixed.
-``Graph`` therefore keeps a dict-of-dict adjacency that supports O(1)
-weight reads/writes, and all indexes read weights through it.
+``Graph`` therefore keeps a dict-of-dict adjacency with O(1) weight
+reads, and ``apply_updates`` writes a whole batch. Searches and index
+builds read weights from it; index maintenance takes the ``(u, v, w)``
+batch that ``apply_updates`` returns, not the graph.
 """
 from __future__ import annotations
 
@@ -32,13 +34,6 @@ class Graph:
         if old is None or w < old:
             self.adj[u][v] = w
             self.adj[v][u] = w
-
-    def set_weight(self, u: int, v: int, w: float) -> None:
-        """Overwrite the weight of an existing edge (dynamic update)."""
-        if v not in self.adj[u]:
-            raise KeyError(f"edge ({u},{v}) not present")
-        self.adj[u][v] = w
-        self.adj[v][u] = w
 
     def weight(self, u: int, v: int) -> float:
         return self.adj[u][v]

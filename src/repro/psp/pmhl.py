@@ -22,7 +22,10 @@ Query stages (fastest *available* index answers):
   1 BiDijkstra → 2 PCH → 3 no-boundary → 4 post-boundary → 5 cross-boundary
 Update stages U1–U5 mirror §V-D; ``apply_batch`` returns per-task
 durations so stage wall-clock under p workers is an LPT schedule
-(DESIGN.md §2).
+(DESIGN.md §2). Maintenance hands ``(u, v, w)`` changes to
+``update_shortcuts``, which writes them into the trees' ``base``: the
+partition, extended-partition (``G'_i``) and overlay graphs are locals
+of ``build``, and no index state holds a graph copy.
 """
 from __future__ import annotations
 
@@ -167,27 +170,27 @@ def cross_labels(disB: np.ndarray, H: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PartitionUnit:
-    """All per-partition state of PMHL."""
+    """All per-partition state of PMHL: trees, labels and matrices, no
+    graph (each tree's ``base`` holds its current edge weights)."""
 
     pid: int
     vertices: list[int]
     loc: dict[int, int]
-    gl: Graph                      # local partition graph (intra edges)
     b_local: list[int] = field(default_factory=list)   # boundary, overlay-rank order
     b_global: list[int] = field(default_factory=list)
     b_ov: list[int] = field(default_factory=list)      # boundary, overlay ids
     b_set: set[int] = field(default_factory=set)       # local boundary set
     b_mask: np.ndarray | None = None                   # local boundary, bool per vertex
     elim_order: list[int] = field(default_factory=list)
-    td: TreeDec | None = None                          # no-boundary
+    td: TreeDec | None = None                          # no-boundary tree of G_i
     dis: list | None = None
     # Theorem-2 residual boundary pairs: their ``td.flat`` positions,
-    # residual values and overlay endpoints
+    # residual values (the overlay tree's base weights of these edges)
+    # and overlay endpoints
     res_pos: np.ndarray | None = None
     res_w: np.ndarray | None = None
     res_ov: list[tuple[int, int]] = field(default_factory=list)
-    gpost: Graph | None = None                         # extended partition G'_i
-    td_post: TreeDec | None = None
+    td_post: TreeDec | None = None                     # tree of G'_i: boundary-pair base weights = D
     dis_post: list | None = None
     D: np.ndarray | None = None                        # |B|×|B| global boundary dists
     # cross-boundary index; the tree shapes never change, so ``nonb``,
@@ -220,7 +223,6 @@ class PMHLIndex:
         k: int,
         coords: np.ndarray | None = None,
         *,
-        build: bool = True,
         level: str = "full",
     ):
         assert level in ("shortcut", "post", "full")
@@ -228,36 +230,34 @@ class PMHLIndex:
         self.graph = graph
         self.k = k
         self.part: Partition = partition_graph(graph, k, coords)
-        self.units: list[PartitionUnit] = []
         # hub_joins[i][j] = positions of the hubs partitions i and j share
         self.hub_joins: list[list[tuple[np.ndarray, np.ndarray]]] = []
-        self.build_times: dict[str, object] = {}
-        self._init_units()
-        if build:
-            self.build()
+        self.build()
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _init_units(self) -> None:
-        for i in range(self.k):
-            gl, loc = self.graph.subgraph(self.part.parts[i])
-            u = PartitionUnit(pid=i, vertices=self.part.parts[i], loc=loc, gl=gl)
+    def build(self) -> None:
+        gls: list[Graph] = []  # partition graphs, build-time only
+        self.units: list[PartitionUnit] = []
+        for i, vs in enumerate(self.part.parts):
+            gl, loc = self.graph.subgraph(vs)
+            u = PartitionUnit(pid=i, vertices=vs, loc=loc)
             u.b_global = list(self.part.boundary[i])
             u.b_set = {loc[b] for b in u.b_global}
             u.b_mask = np.zeros(gl.n, dtype=bool)
             u.b_mask[list(u.b_set)] = True
             self.units.append(u)
+            gls.append(gl)
 
-    def build(self) -> None:
         bt = self.build_times = {}
         t_parts1 = bt["parts_phase_a"] = {}
         # Step 1 (phase A): contract non-boundary vertices by MDE; the
         # residual boundary graph is Theorem 2's overlay shortcuts.
         pass1 = []
-        for u in self.units:
+        for u, gl in zip(self.units, gls):
             t0 = time.perf_counter()
-            nonb_order, residual = boundary_residual(u.gl, u.b_mask)
+            nonb_order, residual = boundary_residual(gl, u.b_mask)
             t_parts1[u.pid] = time.perf_counter() - t0
             pass1.append((residual, nonb_order))
 
@@ -272,7 +272,6 @@ class PMHLIndex:
                 og.add_edge(self.o_loc[glob[l1]], self.o_loc[glob[l2]], w)
         for a, b, _ in self.part.inter_edges:
             og.add_edge(self.o_loc[a], self.o_loc[b], self.graph.adj[a][b])
-        self.og = og
         self.td_o = build_treedec(og)
         self.dis_o = build_labels(self.td_o) if self.level != "shortcut" else None
         bt["overlay"] = time.perf_counter() - t0
@@ -280,13 +279,13 @@ class PMHLIndex:
         # Step 1 (phase B): rebuild each partition MHL with the full
         # boundary-first order (boundary relative order = overlay order).
         t_parts2 = bt["parts_phase_b"] = {}
-        for u, (residual, nonb_order) in zip(self.units, pass1):
+        for u, gl, (residual, nonb_order) in zip(self.units, gls, pass1):
             t0 = time.perf_counter()
             b_sorted = sorted(u.b_set, key=lambda l: int(self.td_o.rank[self.o_loc[u.vertices[l]]]))
             u.b_local = b_sorted
             u.b_ov = [self.o_loc[u.vertices[l]] for l in b_sorted]
             u.elim_order = nonb_order + b_sorted
-            u.td = build_treedec(u.gl, fixed_order=u.elim_order)
+            u.td = build_treedec(gl, fixed_order=u.elim_order)
             u.dis = build_labels(u.td) if self.level != "shortcut" else None
             u.res_pos = np.array([position(u.td, a, b) for a, b in residual], dtype=np.int64)
             u.res_w = np.array(list(residual.values()), dtype=np.float64)
@@ -298,14 +297,14 @@ class PMHLIndex:
 
         # Steps 4+5: post-boundary indexes L'_i.
         t_post = bt["post"] = {}
-        for u in self.units:
+        for u, gl in zip(self.units, gls):
             t0 = time.perf_counter()
             u.D = boundary_matrix(self.td_o, self.dis_o, u.b_ov)
-            u.gpost = u.gl.copy()
+            gext = gl.copy()  # extended partition G'_i: boundary pairs pinned to D
             for a in range(len(u.b_local)):
                 for b in range(a + 1, len(u.b_local)):
-                    u.gpost.add_edge(u.b_local[a], u.b_local[b], float(u.D[a, b]))
-            u.td_post = build_treedec(u.gpost, fixed_order=u.elim_order)
+                    gext.add_edge(u.b_local[a], u.b_local[b], float(u.D[a, b]))
+            u.td_post = build_treedec(gext, fixed_order=u.elim_order)
             u.dis_post = build_labels(u.td_post)
             t_post[u.pid] = time.perf_counter() - t0
 
@@ -319,8 +318,9 @@ class PMHLIndex:
         t_cross = bt["cross"] = {}
         for u in self.units:
             t0 = time.perf_counter()
-            u.nonb = np.array([v for v in range(u.gl.n) if v not in u.b_set], dtype=np.int64)
-            u.plan = disB_plan(u.td_post, {v: v for v in range(u.gl.n)}, u.b_local)
+            n = len(u.vertices)
+            u.nonb = np.array([v for v in range(n) if v not in u.b_set], dtype=np.int64)
+            u.plan = disB_plan(u.td_post, {v: v for v in range(n)}, u.b_local)
             self._build_cross(u)
             t_cross[u.pid] = time.perf_counter() - t0
 
@@ -453,37 +453,26 @@ class PMHLIndex:
 
         # ---- U2: no-boundary shortcut update ------------------------
         u2_parts: dict[int, float] = {}
-        ov_edge_changes: list[tuple[int, int]] = []
+        ov_changes: list[tuple[int, int, float]] = []
         affected_lab: dict[int, set[int]] = {}
         for i, ups in intra.items():
             u = self.units[i]
             t0 = time.perf_counter()
-            loc_edges = []
-            for a, b, w in ups:
-                la, lb = u.loc[a], u.loc[b]
-                u.gl.set_weight(la, lb, w)
-                loc_edges.append((la, lb))
-            res = update_shortcuts(u.td, u.gl, loc_edges)
+            res = update_shortcuts(u.td, [(u.loc[a], u.loc[b], w) for a, b, w in ups])
             affected_lab[i] = res.affected
-            # Theorem-2 residuals: refresh overlay base edges whose
-            # residual (boundary-contributor-free) value changed. Only a
-            # recomputed pair's residual can change.
+            # Theorem-2 residuals: an overlay edge's base weight is its
+            # residual (boundary-contributor-free) value, so a moved
+            # residual is an overlay change. Only a recomputed pair's
+            # residual can move.
             k = np.flatnonzero(np.isin(u.res_pos, res.recomputed_pairs))
             nv = support_min(u.td, u.res_pos[k], skip=u.b_mask)
             moved = nv != u.res_w[k]
             u.res_w[k[moved]] = nv[moved]
-            for j, w in zip(k[moved].tolist(), nv[moved].tolist()):
-                oa, ob = u.res_ov[j]
-                if self.og.adj[oa].get(ob, INF) != w:
-                    self.og.set_weight(oa, ob, w)
-                    ov_edge_changes.append((oa, ob))
+            ov_changes.extend((*u.res_ov[j], w) for j, w in zip(k[moved].tolist(), nv[moved].tolist()))
             u2_parts[i] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        for a, b, w in inter:
-            oa, ob = self.o_loc[a], self.o_loc[b]
-            self.og.set_weight(oa, ob, w)
-            ov_edge_changes.append((oa, ob))
-        res_o = update_shortcuts(self.td_o, self.og, ov_edge_changes)
+        ov_changes.extend((self.o_loc[a], self.o_loc[b], w) for a, b, w in inter)
+        res_o = update_shortcuts(self.td_o, ov_changes)
         out["u2"] = {"parts": u2_parts, "overlay": time.perf_counter() - t0}
         if self.level == "shortcut":
             return out
@@ -512,22 +501,18 @@ class PMHLIndex:
             if i not in intra and not d_may_change:
                 continue
             t0 = time.perf_counter()
-            loc_edges = []
-            for a, b, w in intra.get(i, ()):
-                la, lb = u.loc[a], u.loc[b]
-                if la in u.b_set and lb in u.b_set:
-                    continue  # boundary-pair weight is pinned to D below
-                u.gpost.set_weight(la, lb, w)
-                loc_edges.append((la, lb))
+            # a boundary pair's weight is pinned to D (below)
+            changes = [
+                (u.loc[a], u.loc[b], w) for a, b, w in intra.get(i, ()) if not {u.loc[a], u.loc[b]} <= u.b_set
+            ]
             if d_may_change:
                 Dn = boundary_matrix(self.td_o, self.dis_o, u.b_ov)
                 for a in range(len(u.b_local)):
                     for b in range(a + 1, len(u.b_local)):
                         if Dn[a, b] != u.D[a, b]:
-                            u.gpost.set_weight(u.b_local[a], u.b_local[b], float(Dn[a, b]))
-                            loc_edges.append((u.b_local[a], u.b_local[b]))
+                            changes.append((u.b_local[a], u.b_local[b], float(Dn[a, b])))
                 u.D = Dn
-            res_p = update_shortcuts(u.td_post, u.gpost, loc_edges)
+            res_p = update_shortcuts(u.td_post, changes)
             roots = prune_to_subtree_roots(u.td_post, res_p.affected)
             if roots:
                 build_labels(u.td_post, roots=roots, dis=u.dis_post)

@@ -75,7 +75,6 @@ class PostMHLIndex:
         k_e: int,
         beta_l: float = 0.1,
         beta_u: float = 2.0,
-        build: bool = True,
     ):
         self.graph = graph
         t0 = time.perf_counter()
@@ -98,8 +97,7 @@ class PostMHLIndex:
         self.disB: list[np.ndarray | None] = [None] * graph.n
         self.dis: list[np.ndarray | None] = [None] * graph.n
         self.build_times: dict[str, object] = {}
-        if build:
-            self.build()
+        self.build()
 
     # ------------------------------------------------------------------
     # construction
@@ -209,16 +207,16 @@ class PostMHLIndex:
 
         # ---- U1 ------------------------------------------------------
         t0 = time.perf_counter()
-        self.graph.apply_updates(updates)
-        part_edges: dict[int, list[tuple[int, int]]] = {}
-        ov_edges: list[tuple[int, int]] = []
-        for a, b, _ in updates:
+        applied = self.graph.apply_updates(updates)
+        part_edges: dict[int, list[tuple[int, int, float]]] = {}
+        ov_edges: list[tuple[int, int, float]] = []
+        for a, b, w in applied:
             owner = a if td.rank[a] < td.rank[b] else b
             i = int(self.tdp.pid[owner])
             if i == -1:
-                ov_edges.append((a, b))
+                ov_edges.append((a, b, w))
             else:
-                part_edges.setdefault(i, []).append((a, b))
+                part_edges.setdefault(i, []).append((a, b, w))
         out["u1"] = time.perf_counter() - t0
 
         # ---- U2: shortcuts, partition-parallel then overlay ---------
@@ -227,13 +225,13 @@ class PostMHLIndex:
         part_affected: set[int] = set()
         for i, edges in part_edges.items():
             t0 = time.perf_counter()
-            res = update_shortcuts(td, self.graph, edges, subset=self.in_part)
+            res = update_shortcuts(td, edges, subset=self.in_part)
             if res.affected:
                 part_affected.add(i)
             escaped.append(res.escaped)
             u2_parts[i] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        res_o = update_shortcuts(td, self.graph, ov_edges, seed=escaped)
+        res_o = update_shortcuts(td, ov_edges, seed=escaped)
         out["u2"] = {"parts": u2_parts, "overlay": time.perf_counter() - t0}
 
         # ---- U3: overlay label update, then every D_i it may move --

@@ -54,12 +54,23 @@ def test_stages_partition_interval(ny_records):
         assert all(s.duration >= 0 for s in st)
 
 
+def _throughput_report(lam, records):
+    """Each algorithm's λ, stage walls and per-stage (mean, var) query
+    seconds, so a failed ranking names the stage that moved."""
+    return "\n".join(
+        f"{a}: lambda={lam[a]:.0f} walls=[{', '.join(f'{w:.4g}' for w in r.walls)}] "
+        + " ".join(f"{n}=({q.mean:.3g}, {q.var:.3g})" for n, q in r.stage_q.items())
+        for a, r in records.items()
+    )
+
+
 def test_throughput_positive_and_ranked(ny_records):
     lam = {a: r.throughput(10.0, 0.1) for a, r in ny_records.items()}
-    assert all(v > 0 for v in lam.values())
+    why = _throughput_report(lam, ny_records)
+    assert all(v > 0 for v in lam.values()), why
     # headline result: the multi-stage PSP indexes beat the search baselines
-    assert lam["PostMHL"] > lam["DCH"] > lam["BiDij"]
-    assert lam["PMHL"] > lam["DCH"]
+    assert lam["PostMHL"] > lam["DCH"] > lam["BiDij"], why
+    assert lam["PMHL"] > lam["DCH"], why
 
 
 def test_update_exceeds_interval_gives_zero(ny_records):

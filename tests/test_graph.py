@@ -29,15 +29,10 @@ def test_self_loop_ignored():
     assert g.m == 1
 
 
-def test_set_weight_updates_both_directions():
+def test_apply_updates_writes_both_directions():
     g = make()
-    g.set_weight(1, 2, 9.0)
+    g.apply_updates([(1, 2, 9.0)])
     assert g.adj[1][2] == 9.0 and g.adj[2][1] == 9.0
-
-
-def test_set_weight_missing_edge_raises():
-    with pytest.raises(KeyError):
-        make().set_weight(0, 2, 1.0)
 
 
 def test_apply_updates_batch():
@@ -50,7 +45,7 @@ def test_apply_updates_batch():
 def test_copy_is_independent():
     g = make()
     c = g.copy()
-    c.set_weight(0, 1, 99.0)
+    c.apply_updates([(0, 1, 99.0)])
     assert g.weight(0, 1) == 2.0
 
 

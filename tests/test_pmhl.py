@@ -99,7 +99,7 @@ def test_boundary_first_property(built):
         if not u.b_set:
             continue
         max_nb = max(
-            (u.td.rank[l] for l in range(u.gl.n) if l not in u.b_set), default=-1
+            (u.td.rank[l] for l in range(len(u.vertices)) if l not in u.b_set), default=-1
         )
         assert all(u.td.rank[b] > max_nb for b in u.b_set)
 
@@ -107,7 +107,7 @@ def test_boundary_first_property(built):
 def test_disB_values_exact(built):
     idx, g, fw, _ = built
     for u in idx.units:
-        for v in range(0, u.gl.n, 5):
+        for v in range(0, len(u.vertices), 5):
             if v in u.b_set:
                 continue
             gv = u.vertices[v]
@@ -166,7 +166,7 @@ def _per_vertex_cross(idx, u):
             disB[v] = np.min([td.sc[v][k] + disB[x] for k, x in enumerate(td.neigh[v])], axis=0)
     b_hub = [_overlay_label(idx, o) for o in u.b_ov]
     lstar = {}
-    for v in range(u.gl.n):
+    for v in range(len(u.vertices)):
         if v in u.b_set:
             continue
         hubs = np.concatenate([h for h, _ in b_hub])
@@ -189,17 +189,29 @@ def test_dense_cross_index_equals_per_vertex_reference(built):
             assert np.array_equal(u.lstar[v][0], h) and np.array_equal(u.lstar[v][1], d), v
 
 
+def _assert_same_trees(ta, tb):
+    assert np.array_equal(ta.flat, tb.flat)
+    assert np.array_equal(ta.base, tb.base)
+
+
 def _assert_same_state(a, b):
-    """D, disB, every L* row and the boundary rows of ``a`` and ``b`` are
-    bit-for-bit equal."""
+    """Shortcuts and base weights of every tree, the post-boundary
+    labels, D, disB, every L* row and the boundary rows of ``a`` and
+    ``b`` are bit-for-bit equal."""
+    _assert_same_trees(a.td_o, b.td_o)
     for ua, ub in zip(a.units, b.units, strict=True):
+        _assert_same_trees(ua.td, ub.td)
+        _assert_same_trees(ua.td_post, ub.td_post)
+        assert len(ua.dis_post) == len(ub.dis_post)
+        for v, (ra, rb) in enumerate(zip(ua.dis_post, ub.dis_post)):
+            assert np.array_equal(ra, rb), v
         assert np.array_equal(ua.D, ub.D)
         assert np.array_equal(ua.disB, ub.disB)
         assert ua.lstar.keys() == ub.lstar.keys()
         for v, (h, d) in ua.lstar.items():
             assert np.array_equal(h, ub.lstar[v][0]) and np.array_equal(d, ub.lstar[v][1]), v
         assert np.array_equal(ua.hubs, ub.hubs)
-        assert len(ua.lrows) == len(ub.lrows) == ua.gl.n
+        assert len(ua.lrows) == len(ub.lrows) == len(ua.vertices)
         for l in ua.b_local:
             assert np.array_equal(ua.lrows[l], ub.lrows[l]), l
 
@@ -237,15 +249,34 @@ def test_residuals_and_overlay_equal_fresh_build(seed, k):
         assert np.array_equal(idx.td_o.flat, ref.td_o.flat)
 
 
+def _pinned_boundary_edges(idx):
+    """Same-partition edges between two boundary vertices whose weight is
+    above their D entry: the post-boundary tree holds D for them, not
+    the edge weight."""
+    out = []
+    for u in idx.units:
+        for a, la in enumerate(u.b_local):
+            for b, lb in enumerate(u.b_local):
+                ga, gb = u.vertices[la], u.vertices[lb]
+                if a < b and gb in idx.graph.adj[ga] and idx.graph.adj[ga][gb] > u.D[a, b]:
+                    out.append((ga, gb, idx.graph.adj[ga][gb]))
+    return out
+
+
 def test_incremental_state_equals_fresh_build_increase_only():
     """An increase-only batch, then a batch of inter-partition edges only
-    (partitions without intra updates still see their D / L* move)."""
+    (partitions without intra updates still see their D / L* move), then
+    one that doubles only pinned boundary-pair edges (D stays put, so the
+    post-boundary tree must keep D as their base weight)."""
     g, coords, _ = small_case(6, 20, 5)
     idx = PMHLIndex(g.copy(), 4, coords)
     g2 = g.copy()
     increase = [(u, v, w * 3) for u, v, w in list(g.edges())[::4]]
     inter = [(a, b, g2.adj[a][b] / 2) for a, b, _ in idx.part.inter_edges]
-    for batch in (increase, inter):
+    for batch in (increase, inter, None):
+        if batch is None:
+            batch = [(a, b, w * 2) for a, b, w in _pinned_boundary_edges(idx)]
+            assert batch
         idx.apply_batch(batch)
         g2.apply_updates(batch)
         _assert_same_state(idx, PMHLIndex(g2.copy(), 4, coords))

@@ -264,13 +264,14 @@ def test_flat_storage_views(td_case):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_update_shortcuts_equals_rebuild(seed):
-    """After weight updates, maintained shortcuts == from-scratch ones."""
+    """After weight updates, maintained shortcuts == from-scratch ones.
+    The sweep runs before the graph sees the batch: it reads no graph."""
     g, _, _ = small_case(seed)
     g = g.copy()  # never mutate the cached fixture graph
     td = build_treedec(g)
     for batch in update_batches(g, batches=3, volume=25, seed=seed + 50):
+        update_shortcuts(td, batch)
         g.apply_updates(batch)
-        update_shortcuts(td, g, [(u, v) for u, v, _ in batch])
         ref = build_treedec(g, fixed_order=td.order)
         for v in range(td.n):
             assert np.allclose(td.sc[v], ref.sc[v]), v
@@ -290,18 +291,17 @@ def test_update_shortcuts_subset_with_escape():
     contrib = contributors(ref)
     batch = update_batches(g, batches=1, volume=30, seed=77)[0]
     g.apply_updates(batch)
-    edges = [(u, v) for u, v, _ in batch]
     # restrict to the lower half of the hierarchy (closed under tree
     # descendants: they have lower rank); the rest escapes
     low = {v for v in range(g.n) if td.rank[v] < g.n // 2}
-    low_edges = [e for e in edges if min(td.rank[e[0]], td.rank[e[1]]) < g.n // 2]
-    hi_edges = [e for e in edges if e not in low_edges]
-    res = update_shortcuts(td, g, low_edges, subset=_mask(g.n, low))
-    rr = reference_update(ref, g, contrib, low_edges, subset=low)
+    low_ups = [e for e in batch if min(td.rank[e[0]], td.rank[e[1]]) < g.n // 2]
+    hi_ups = [e for e in batch if e not in low_ups]
+    res = update_shortcuts(td, low_ups, subset=_mask(g.n, low))
+    rr = reference_update(ref, g, contrib, [(u, v) for u, v, _ in low_ups], subset=low)
     assert len(res.escaped)
     assert _pairs(td, res.escaped) == {(o, ref.neigh[o][i]) for o, idxs in rr.escaped.items() for i in idxs}
-    update_shortcuts(td, g, hi_edges, seed=[res.escaped])
-    reference_update(ref, g, contrib, hi_edges, seed_dirty=rr.escaped)
+    update_shortcuts(td, hi_ups, seed=[res.escaped])
+    reference_update(ref, g, contrib, [(u, v) for u, v, _ in hi_ups], seed_dirty=rr.escaped)
     fresh = build_treedec(g, fixed_order=td.order)
     assert np.array_equal(td.flat, fresh.flat)
     assert np.array_equal(td.flat, ref.flat)
@@ -328,17 +328,18 @@ GRAPHS = [("random", c) for c in CASES] + [("small", s) for s in (0, 3)]
 def test_sweep_equals_reference_and_rebuild(kind, arg, mode):
     """After every increase-only, decrease-only or mixed batch, the sweep
     leaves ``flat`` bit-identical to the per-pair reference kernel and to
-    a fresh build in the same order, and reports the same work."""
+    a fresh build in the same order, and reports the same work. The
+    sweep runs before the graph sees the batch: it reads no graph; the
+    reference kernel, the oracle, reads the updated graph."""
     g = random_connected(*arg) if kind == "random" else small_case(arg)[0].copy()
     td = build_treedec(g)
     ref = build_treedec(g, fixed_order=td.order)
     contrib = contributors(ref)
     rnd = random.Random(f"{kind}{arg}{mode}")
     for batch in _batches(g, mode, rnd, volume=min(20, g.m // 2)):
+        res = update_shortcuts(td, batch)
         g.apply_updates(batch)
-        edges = [(u, v) for u, v, _ in batch]
-        res = update_shortcuts(td, g, edges)
-        rr = reference_update(ref, g, contrib, edges)
+        rr = reference_update(ref, g, contrib, [(u, v) for u, v, _ in batch])
         fresh = build_treedec(g, fixed_order=td.order)
         assert np.array_equal(td.flat, ref.flat)
         assert np.array_equal(td.flat, fresh.flat)
