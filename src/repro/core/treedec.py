@@ -463,9 +463,10 @@ def build_labels(
     ``dis[v][j]`` = distance from v to its ancestor at depth j
     (``dis[v][depth[v]] = 0``). The DP per node takes the elementwise min
     over neighbors of ``sc(v, x_k) + d(x_k, ·)``, where ``d(x_k, A[j])``
-    is read from a matrix M holding the root-path ancestors' arrays:
-    ``M[p][j]`` if j ≤ p else ``M[j][p]`` (x_k *is* the ancestor at its
-    own depth p).
+    is read from a symmetric matrix M over the root-path ancestors (x_k
+    *is* the ancestor at its own depth p): each row at depth p is written
+    to ``M[p, :p+1]`` and ``M[:p+1, p]``, so a node's candidates are the
+    one gather ``M[pos[v], col0:d]``.
 
     - ``roots``: subtree roots to (re)compute — DH2H's top-down label
       update phase recomputes exactly the subtrees under the highest
@@ -476,9 +477,9 @@ def build_labels(
     - ``dis``: existing arrays updated (returned); fresh otherwise.
     - ``col0``: compute only the columns ``[col0, depth)`` of each row
       and keep the others from its existing row (PostMHL's in-partition
-      columns). A neighbor above depth ``col0`` is then read only at the
-      columns its depth gives in the rows being computed, so those
-      columns must be set beforehand.
+      columns). M's columns ``≥ col0`` come from the window rows (depth
+      ≥ col0: seeded ancestors and rows computed here); a neighbor at
+      depth p < col0 is read at entry p of them, so it must be set.
 
     Every row written is a fresh array (in window mode a copy of the old
     row), so callers can tell rewritten rows from the row objects they
@@ -495,30 +496,19 @@ def build_labels(
         # col0: shallower rows only feed columns outside the window).
         for a in td.ancestors(r)[col0:-1]:
             d = int(td.depth[a])
-            M[d, : d + 1] = dis[a]
+            M[d, : d + 1] = M[: d + 1, d] = dis[a]
         stack = [r]
         while stack:
             v = stack.pop()
             if active is not None and v not in active:
                 continue
             d = int(td.depth[v])
-            nb = td.neigh[v]
-            if not nb:
-                row = np.zeros(1, dtype=np.float64)
-            else:
-                pv = td.pos[v]
-                w = td.sc[v]
-                cand = np.empty((len(nb), d), dtype=np.float64)
-                for k in range(len(nb)):
-                    p = int(pv[k])
-                    cand[k, : p + 1] = M[p, : p + 1]
-                    if p + 1 < d:
-                        cand[k, p + 1 :] = M[p + 1 : d, p]
-                row = dis[v].copy() if col0 else np.empty(d + 1, dtype=np.float64)
-                row[col0:d] = (cand[:, col0:] + w[:, None]).min(axis=0)
-                row[d] = 0.0
+            row = dis[v].copy() if col0 else np.empty(d + 1, dtype=np.float64)
+            # a tree root has no neighbours: its row is [0]
+            row[col0:d] = (M[td.pos[v], col0:d] + td.sc[v][:, None]).min(axis=0, initial=INF)
+            row[d] = 0.0
             dis[v] = row
-            M[d, : d + 1] = row
+            M[d, : d + 1] = M[: d + 1, d] = row
             stack.extend(td.children[v])
     return dis
 

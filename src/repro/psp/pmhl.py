@@ -87,12 +87,26 @@ def hub_query(h1: np.ndarray, d1: np.ndarray, h2: np.ndarray, d2: np.ndarray) ->
 
 def boundary_matrix(td: TreeDec, dis: list, verts: list[int]) -> np.ndarray:
     """All-pair distances among ``verts`` by H2H queries on (td, dis)."""
-    nb = len(verts)
-    D = np.zeros((nb, nb), dtype=np.float64)
-    for a in range(nb):
-        for b in range(a + 1, nb):
-            D[a, b] = D[b, a] = h2h_query(td, dis, verts[a], verts[b])
+    D = np.zeros((len(verts), len(verts)), dtype=np.float64)
+    refresh_boundary_matrix(td, dis, verts, D, set(verts))
     return D
+
+
+def refresh_boundary_matrix(td: TreeDec, dis: list, verts: list[int], D: np.ndarray, changed: set[int]) -> list:
+    """Re-query the entries of ``D`` (distances among ``verts``) with an
+    endpoint in ``changed``; the others hold, because ``h2h_query(a, b)``
+    reads only the rows of a and b. Writes the entries that moved and
+    returns them as ``(a, b, w)`` with a < b, in row order."""
+    hit = [v in changed for v in verts]
+    moved = []
+    for a in range(len(verts)):
+        for b in range(a + 1, len(verts)):
+            if hit[a] or hit[b]:
+                w = h2h_query(td, dis, verts[a], verts[b])
+                if w != D[a, b]:
+                    D[a, b] = D[b, a] = w
+                    moved.append((a, b, w))
+    return moved
 
 
 def disB_plan(td: TreeDec, row: dict[int, int], boundary: list[int]) -> tuple:
@@ -177,7 +191,6 @@ class PartitionUnit:
     vertices: list[int]
     loc: dict[int, int]
     b_local: list[int] = field(default_factory=list)   # boundary, overlay-rank order
-    b_global: list[int] = field(default_factory=list)
     b_ov: list[int] = field(default_factory=list)      # boundary, overlay ids
     b_set: set[int] = field(default_factory=set)       # local boundary set
     b_mask: np.ndarray | None = None                   # local boundary, bool per vertex
@@ -243,8 +256,7 @@ class PMHLIndex:
         for i, vs in enumerate(self.part.parts):
             gl, loc = self.graph.subgraph(vs)
             u = PartitionUnit(pid=i, vertices=vs, loc=loc)
-            u.b_global = list(self.part.boundary[i])
-            u.b_set = {loc[b] for b in u.b_global}
+            u.b_set = {loc[b] for b in self.part.boundary[i]}
             u.b_mask = np.zeros(gl.n, dtype=bool)
             u.b_mask[list(u.b_set)] = True
             self.units.append(u)
@@ -492,26 +504,19 @@ class PMHLIndex:
         out["u3"] = {"parts": u3_parts, "overlay": time.perf_counter() - t0}
 
         # ---- U4: post-boundary index update -------------------------
-        changed_ov_g = {self.ov_vertices[o] for o in changed_ov}
         u4_parts: dict[int, float] = {}
         post_label_changed: set[int] = set()
         for u in self.units:
             i = u.pid
-            d_may_change = any(g in changed_ov_g for g in u.b_global)
-            if i not in intra and not d_may_change:
+            if i not in intra and changed_ov.isdisjoint(u.b_ov):
                 continue
             t0 = time.perf_counter()
             # a boundary pair's weight is pinned to D (below)
             changes = [
                 (u.loc[a], u.loc[b], w) for a, b, w in intra.get(i, ()) if not {u.loc[a], u.loc[b]} <= u.b_set
             ]
-            if d_may_change:
-                Dn = boundary_matrix(self.td_o, self.dis_o, u.b_ov)
-                for a in range(len(u.b_local)):
-                    for b in range(a + 1, len(u.b_local)):
-                        if Dn[a, b] != u.D[a, b]:
-                            changes.append((u.b_local[a], u.b_local[b], float(Dn[a, b])))
-                u.D = Dn
+            moved = refresh_boundary_matrix(self.td_o, self.dis_o, u.b_ov, u.D, changed_ov)
+            changes.extend((u.b_local[a], u.b_local[b], w) for a, b, w in moved)
             res_p = update_shortcuts(u.td_post, changes)
             roots = prune_to_subtree_roots(u.td_post, res_p.affected)
             if roots:
@@ -527,7 +532,7 @@ class PMHLIndex:
         u5_parts: dict[int, float] = {}
         for u in self.units:
             i = u.pid
-            if i not in post_label_changed and not any(g in changed_ov_g for g in u.b_global):
+            if i not in post_label_changed and changed_ov.isdisjoint(u.b_ov):
                 continue
             t0 = time.perf_counter()
             self._build_cross(u)

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.dijkstra import floyd_warshall
 from repro.core.treedec import h2h_query
-from repro.psp.pmhl import PMHLIndex, hub_query
+import repro.psp.pmhl as pmhl
+from repro.psp.pmhl import PMHLIndex, boundary_matrix, hub_query
 from tests.util import pairs_for, small_case, updated_case
 
 import numpy as np
@@ -280,6 +281,29 @@ def test_incremental_state_equals_fresh_build_increase_only():
         idx.apply_batch(batch)
         g2.apply_updates(batch)
         _assert_same_state(idx, PMHLIndex(g2.copy(), 4, coords))
+
+
+@pytest.mark.parametrize("factor", [3.0, 0.5])
+def test_refreshed_D_equals_full_boundary_matrix(factor, monkeypatch):
+    """U4 re-queries only the D entries with an endpoint whose overlay
+    label changed; after every increase-only or decrease-only batch each
+    partition's D equals a full re-query, and fewer queries were made."""
+    g, coords, _ = small_case(6, 20, 5)
+    idx = PMHLIndex(g.copy(), 4, coords)
+    calls = []
+    monkeypatch.setattr(pmhl, "h2h_query", lambda *a: calls.append(a) or h2h_query(*a))
+    edges = list(g.edges())
+    D0 = [u.D.copy() for u in idx.units]
+    made = full = 0
+    for k in range(3):
+        calls.clear()
+        idx.apply_batch([(a, b, idx.graph.adj[a][b] * factor) for a, b, _ in edges[k::15]])
+        made += sum(c[0] is idx.td_o for c in calls)
+        full += sum(len(u.b_ov) * (len(u.b_ov) - 1) // 2 for u in idx.units)
+        for u in idx.units:
+            assert np.array_equal(u.D, boundary_matrix(idx.td_o, idx.dis_o, u.b_ov)), u.pid
+    assert any(not np.array_equal(d, u.D) for d, u in zip(D0, idx.units))
+    assert 0 < made < full
 
 
 def _pair_classes(idx):

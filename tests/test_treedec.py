@@ -1,6 +1,7 @@
 """Tree-decomposition engine: structure invariants, Definition 1,
-Lemma 4 (CH ≡ TD shortcuts), the support tables, and dynamic shortcut
-maintenance against the per-pair reference kernel."""
+Lemma 4 (CH ≡ TD shortcuts), the support tables, dynamic shortcut
+maintenance against the per-pair reference kernel, and the label DP
+against the per-neighbour reference kernel."""
 import heapq
 import math
 import random
@@ -8,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.h2h import prune_to_subtree_roots
 from repro.core.treedec import (
     boundary_residual,
     build_labels,
@@ -20,6 +22,7 @@ from repro.core.treedec import (
 )
 from repro.graphs.generator import road_network, update_batches
 from repro.partition.partitioner import partition_graph
+from tests.label_reference import reference_labels
 from tests.shortcut_reference import contributors, recompute, reference_update
 from tests.test_random_graphs import CASES, random_connected
 from tests.util import small_case
@@ -368,7 +371,16 @@ def test_build_labels_active_subset():
         top.update(td.ancestors(v))
     restricted = build_labels(td, active=top)
     for v in top:
-        assert np.allclose(restricted[v], full[v])
+        assert np.array_equal(restricted[v], full[v])
+
+
+def _subtree(td, r):
+    out, stack = [], [r]
+    while stack:
+        v = stack.pop()
+        out.append(v)
+        stack.extend(td.children[v])
+    return out
 
 
 def test_build_labels_window_columns():
@@ -379,11 +391,7 @@ def test_build_labels_window_columns():
     dis = build_labels(td)
     r = max((v for v in range(g.n) if td.depth[v] >= 3), key=lambda v: len(td.children[v]))
     c = int(td.depth[r])
-    sub, stack = [], [r]
-    while stack:
-        v = stack.pop()
-        sub.append(v)
-        stack.extend(td.children[v])
+    sub = _subtree(td, r)
     seeded = list(dis)
     for v in sub:
         seeded[v] = dis[v].copy()
@@ -393,6 +401,64 @@ def test_build_labels_window_columns():
     for v in sub:
         assert np.array_equal(seeded[v], dis[v]), v
         assert seeded[v] is not held[v] and (held[v][c:] == -1.0).all()
+
+
+LABEL_GRAPHS = [("random", c) for c in CASES] + [("small", 0), ("road", (40, 20, 11))]
+
+
+def _label_graph(kind, arg):
+    if kind == "random":
+        return random_connected(*arg)
+    if kind == "small":
+        return small_case(arg)[0].copy()
+    w, h, seed = arg
+    return road_network(w, h, seed=seed)[0]
+
+
+def _same_rows(got, want):
+    assert len(got) == len(want)
+    for v, (a, b) in enumerate(zip(got, want)):
+        assert (a is None) == (b is None), v
+        assert a is None or np.array_equal(a, b), v
+
+
+@pytest.mark.parametrize("kind,arg", LABEL_GRAPHS)
+def test_build_labels_equals_reference(kind, arg):
+    """Every row of ``build_labels`` equals the per-neighbour reference
+    kernel's, bit for bit, in each mode: full build, ``active=`` on an
+    upward-closed set, ``roots=`` subtrees after an update batch, and
+    ``col0=`` windows whose rows hold junk in the window columns."""
+    g = _label_graph(kind, arg)
+    td = build_treedec(g)
+    dis = build_labels(td)
+    _same_rows(dis, reference_labels(td))
+
+    top = {v for v in range(g.n) if td.rank[v] >= g.n - g.n // 3}
+    for v in list(top):
+        top.update(td.ancestors(v))
+    _same_rows(build_labels(td, active=top), reference_labels(td, active=top))
+
+    rnd = random.Random(f"labels{kind}{arg}")
+    batch = next(_batches(g, "mixed", rnd, count=1, volume=min(20, g.m // 2)))
+    roots = prune_to_subtree_roots(td, update_shortcuts(td, batch).affected)
+    assert roots
+    got = build_labels(td, roots=roots, dis=list(dis))
+    _same_rows(got, reference_labels(td, roots=roots, dis=list(dis)))
+    _same_rows(got, build_labels(td))
+    dis = got
+
+    deep = [v for v in range(g.n) if td.depth[v] >= 2]
+    windows = [([r], rnd.randint(1, int(td.depth[r]))) for r in rnd.sample(deep, min(20, len(deep)))]
+    c = int(np.median(td.depth))
+    windows.append(([v for v in range(g.n) if td.depth[v] == c], c))
+    for roots, c in windows:
+        seeded = list(dis)
+        for v in (v for r in roots for v in _subtree(td, r)):
+            seeded[v] = dis[v].copy()
+            seeded[v][c : td.depth[v]] = rnd.uniform(-1e3, 1e3)
+        got = build_labels(td, roots=roots, dis=list(seeded), col0=c)
+        _same_rows(got, reference_labels(td, roots=roots, dis=list(seeded), col0=c))
+        _same_rows(got, dis)
 
 
 def test_h2h_query_ancestor_cases():
