@@ -14,10 +14,12 @@ This is the shared engine behind every index in the paper:
   is read after the build.
 - PMHL partition indexes use the *boundary-first* order: non-boundary
   vertices are eliminated by minimum degree, then boundary vertices.
-  ``boundary_residual`` contracts only the non-boundary vertices; the
+  ``contract_nonboundary`` contracts only the non-boundary vertices; the
   weights left between boundary vertices are the overlay graph's
-  boundary shortcuts (Theorem 2). The partition tree is then built with
-  a fixed order whose boundary part follows the overlay order.
+  boundary shortcuts (Theorem 2). ``finish_boundary_first`` resumes
+  that state: it joins the boundary into one clique (INF where no edge
+  is left) and contracts it in the overlay order, so each partition is
+  contracted once. The post-boundary tree is ``share_shape`` of it.
 
 Key structural invariant used throughout: ``X(v).N`` is a subset of
 ``v``'s tree ancestors, so a neighbor's *position in the ancestor array*
@@ -28,7 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,19 +142,31 @@ class TreeDec:
         return max((len(nb) for nb in self.neigh), default=0) + 1
 
 
-def _eliminate(graph: Graph, *, order: list[int] | None = None, keep: np.ndarray | None = None):
-    """Contract ``order``, or by minimum degree (ties by vertex id) every
-    vertex not marked in ``keep`` (bool per vertex), adding fill-in edges.
+class Elimination:
+    """A graph's contraction state: the weights ``W`` left between
+    uncontracted vertices, the vertices contracted so far (``order``),
+    and each contracted vertex's unsorted row (neighbours and weights) as
+    it was when contracted. ``_eliminate`` continues it."""
 
-    Returns the remaining weights ``W`` (entries left only between kept
-    vertices), the elimination order, and each contracted vertex's
-    neighbours and weights when it was contracted (its unsorted row)."""
-    n = graph.n
-    W: list[dict[int, float]] = [dict(a) for a in graph.adj]
-    contracted = [False] * n
-    elim: list[int] = []
-    neigh: list[list[int]] = [[] for _ in range(n)]
-    scw: list[list[float]] = [[] for _ in range(n)]
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.W: list[dict[int, float]] = [dict(a) for a in graph.adj]
+        self.order: list[int] = []
+        self.neigh: list[list[int]] = [[] for _ in range(graph.n)]
+        self.scw: list[list[float]] = [[] for _ in range(graph.n)]
+
+    def residual(self) -> dict[tuple[int, int], float]:
+        """The edges left between uncontracted vertices, ``{(a, b): w}``
+        with ``a < b``."""
+        return {(a, b): w for a, row in enumerate(self.W) for b, w in row.items() if a < b}
+
+
+def _eliminate(e: Elimination, *, order: list[int] | None = None, keep: np.ndarray | None = None) -> Elimination:
+    """Continue ``e``: contract ``order``, or by minimum degree (ties by
+    vertex id) every vertex not marked in ``keep`` (bool per vertex),
+    adding fill-in edges. Returns ``e``."""
+    W, neigh, scw = e.W, e.neigh, e.scw
+    contracted = [False] * len(W)
 
     def contract(v: int) -> None:
         nbs = list(W[v].items())
@@ -170,13 +184,13 @@ def _eliminate(graph: Graph, *, order: list[int] | None = None, keep: np.ndarray
                     W[b][a] = cand
         W[v].clear()
         contracted[v] = True
-        elim.append(v)
+        e.order.append(v)
 
     if order is not None:
         for v in order:
             contract(v)
     else:
-        pq = [(len(W[v]), v) for v in range(n) if keep is None or not keep[v]]
+        pq = [(len(W[v]), v) for v in range(len(W)) if keep is None or not keep[v]]
         heapq.heapify(pq)
         while pq:
             d, v = heapq.heappop(pq)
@@ -185,30 +199,71 @@ def _eliminate(graph: Graph, *, order: list[int] | None = None, keep: np.ndarray
                     heapq.heappush(pq, (len(W[v]), v))
                 continue
             contract(v)
-    return W, elim, neigh, scw
+    return e
+
+
+def contract_nonboundary(graph: Graph, boundary_mask: np.ndarray) -> Elimination:
+    """PMHL phase A: contract every non-boundary vertex of ``graph`` by
+    MDE. The weights left between boundary vertices (``residual()``) are
+    Theorem 2's residual boundary graph; ``finish_boundary_first``
+    resumes the state into the partition tree."""
+    return _eliminate(Elimination(graph), keep=boundary_mask)
 
 
 def boundary_residual(graph: Graph, boundary_mask: np.ndarray) -> tuple[list[int], dict[tuple[int, int], float]]:
     """Theorem 2's residual boundary graph, without building a tree:
-    contract every non-boundary vertex by MDE, then read the weights left
-    between boundary vertices. Returns the non-boundary elimination order
-    and the residual edges ``{(a, b): w}``, ``a < b`` (PMHL phase A)."""
-    W, order, _, _ = _eliminate(graph, keep=boundary_mask)
-    bs = np.flatnonzero(boundary_mask).tolist()
-    return order, {(b, u): w for b in bs for u, w in W[b].items() if b < u}
+    the non-boundary elimination order and the residual edges
+    ``{(a, b): w}``, ``a < b``, of ``contract_nonboundary``."""
+    e = contract_nonboundary(graph, boundary_mask)
+    return e.order, e.residual()
+
+
+def finish_boundary_first(e: Elimination, b_order: list[int]) -> TreeDec:
+    """PMHL phase B, resumed from phase A's state ``e``: join every pair
+    of ``b_order`` that has no edge left by an INF-weight edge, then
+    contract ``b_order`` and build the boundary-first tree.
+
+    With every boundary pair a shortcut, the tree has the shape that the
+    extended partition G'_i (every boundary pair an edge) has under the
+    same order, so the post-boundary tree can share it. A pair that the
+    contraction leaves unjoined gets base and shortcut INF, so no
+    distance changes.
+    """
+    for i, a in enumerate(b_order):
+        for b in b_order[i + 1 :]:
+            if b not in e.W[a]:
+                e.W[a][b] = e.W[b][a] = INF
+    return _treedec(_eliminate(e, order=b_order))
 
 
 def build_treedec(graph: Graph, *, fixed_order: list[int] | None = None) -> TreeDec:
     """Eliminate all vertices of ``graph`` and build its TreeDec.
 
     - default: pure minimum-degree elimination (MDE), ties by vertex id;
-    - ``fixed_order``: eliminate exactly in this order (PMHL phase B and
-      the post-boundary partition index, whose boundary part follows the
-      overlay order; Spark's partition labels, whose boundary part is in
-      ascending vertex id).
+    - ``fixed_order``: eliminate exactly in this order (the tests'
+      reference for a resumed boundary-first tree, and the rebuild of a
+      tree under a recorded order).
     """
+    return _treedec(_eliminate(Elimination(graph), order=fixed_order))
+
+
+def share_shape(td: TreeDec) -> TreeDec:
+    """A TreeDec with ``td``'s shape and its own weights: every
+    structural array (order, rows, depths, positions, support tables and
+    the LCA lifting table) is ``td``'s object; ``flat``, its ``sc`` views
+    and ``base`` are copies."""
+    td._lifting()
+    flat = td.flat.copy()
+    sc = [flat[a:b] for a, b in zip(td.flat_off[:-1], td.flat_off[1:])]
+    return replace(td, flat=flat, sc=sc, base=td.base.copy())
+
+
+def _treedec(e: Elimination) -> TreeDec:
+    """The TreeDec of a finished elimination: rows sorted by rank, tree
+    links, depths, label positions and support tables; base weights are
+    read from ``e.graph`` (INF where it has no edge)."""
+    graph, order, neigh, scw = e.graph, e.order, e.neigh, e.scw
     n = graph.n
-    _, order, neigh, scw = _eliminate(graph, order=fixed_order)
 
     if len(order) != n:
         raise ValueError("graph has isolated/disconnected leftovers; all vertices must be eliminated")

@@ -6,10 +6,11 @@ The index aggregates, per partition G_i with boundary B_i:
   ``T_i`` + shortcut arrays + labels) and the overlay MHL ``~L`` built on
   the overlay graph assembled from residual boundary shortcuts
   (Theorem 2's optimization — no Dijkstra, no L_i queries) + inter-edges;
-- the **post-boundary** index ``L'_i``: same elimination order on the
-  extended partition ``G'_i`` (boundary pairs pinned to their global
-  distances ``D_i`` obtained from ``~L``), giving globally-correct
-  same-partition queries;
+- the **post-boundary** index ``L'_i`` of the extended partition
+  ``G'_i`` (boundary pairs pinned to their global distances ``D_i``
+  obtained from ``~L``), giving globally-correct same-partition queries.
+  ``G'_i`` is no graph: ``L'_i``'s tree shares ``T_i``'s shape and owns
+  only its weights, whose boundary-pair bases are ``D_i``;
 - the **cross-boundary** index ``L*``: per-vertex global 2-hop hub
   arrays obtained by concatenating boundary arrays ``disB`` with the
   overlay labels (Lemma 2), eliminating distance concatenation for
@@ -24,8 +25,8 @@ Update stages U1–U5 mirror §V-D; ``apply_batch`` returns per-task
 durations so stage wall-clock under p workers is an LPT schedule
 (DESIGN.md §2). Maintenance hands ``(u, v, w)`` changes to
 ``update_shortcuts``, which writes them into the trees' ``base``: the
-partition, extended-partition (``G'_i``) and overlay graphs are locals
-of ``build``, and no index state holds a graph copy.
+partition and overlay graphs are locals of ``build``, and no index
+state holds a graph copy.
 """
 from __future__ import annotations
 
@@ -41,11 +42,13 @@ from repro.core.dijkstra import bidijkstra
 from repro.core.h2h import prune_to_subtree_roots
 from repro.core.treedec import (
     TreeDec,
-    boundary_residual,
     build_labels,
     build_treedec,
+    contract_nonboundary,
+    finish_boundary_first,
     h2h_query,
     position,
+    share_shape,
     support_min,
     update_shortcuts,
 )
@@ -194,7 +197,6 @@ class PartitionUnit:
     b_ov: list[int] = field(default_factory=list)      # boundary, overlay ids
     b_set: set[int] = field(default_factory=set)       # local boundary set
     b_mask: np.ndarray | None = None                   # local boundary, bool per vertex
-    elim_order: list[int] = field(default_factory=list)
     td: TreeDec | None = None                          # no-boundary tree of G_i
     dis: list | None = None
     # Theorem-2 residual boundary pairs: their ``td.flat`` positions,
@@ -203,7 +205,7 @@ class PartitionUnit:
     res_pos: np.ndarray | None = None
     res_w: np.ndarray | None = None
     res_ov: list[tuple[int, int]] = field(default_factory=list)
-    td_post: TreeDec | None = None                     # tree of G'_i: boundary-pair base weights = D
+    td_post: TreeDec | None = None                     # td's shape; boundary-pair base weights = D
     dis_post: list | None = None
     D: np.ndarray | None = None                        # |B|×|B| global boundary dists
     # cross-boundary index; the tree shapes never change, so ``nonb``,
@@ -251,8 +253,12 @@ class PMHLIndex:
     # construction
     # ------------------------------------------------------------------
     def build(self) -> None:
-        gls: list[Graph] = []  # partition graphs, build-time only
+        bt = self.build_times = {}
+        t_parts1 = bt["parts_phase_a"] = {}
+        # Step 1 (phase A): contract non-boundary vertices by MDE; the
+        # residual boundary graph is Theorem 2's overlay shortcuts.
         self.units: list[PartitionUnit] = []
+        pass1 = []
         for i, vs in enumerate(self.part.parts):
             gl, loc = self.graph.subgraph(vs)
             u = PartitionUnit(pid=i, vertices=vs, loc=loc)
@@ -260,25 +266,17 @@ class PMHLIndex:
             u.b_mask = np.zeros(gl.n, dtype=bool)
             u.b_mask[list(u.b_set)] = True
             self.units.append(u)
-            gls.append(gl)
-
-        bt = self.build_times = {}
-        t_parts1 = bt["parts_phase_a"] = {}
-        # Step 1 (phase A): contract non-boundary vertices by MDE; the
-        # residual boundary graph is Theorem 2's overlay shortcuts.
-        pass1 = []
-        for u, gl in zip(self.units, gls):
             t0 = time.perf_counter()
-            nonb_order, residual = boundary_residual(gl, u.b_mask)
-            t_parts1[u.pid] = time.perf_counter() - t0
-            pass1.append((residual, nonb_order))
+            elim = contract_nonboundary(gl, u.b_mask)
+            pass1.append((elim, elim.residual()))
+            t_parts1[i] = time.perf_counter() - t0
 
         # Step 2+3: overlay graph from residual + inter edges; overlay MHL.
         t0 = time.perf_counter()
         self.ov_vertices = self.part.boundary_all
         self.o_loc = {g: i for i, g in enumerate(self.ov_vertices)}
         og = Graph(len(self.ov_vertices))
-        for u, (residual, _) in zip(self.units, pass1):
+        for u, (_, residual) in zip(self.units, pass1):
             glob = u.vertices
             for (l1, l2), w in residual.items():
                 og.add_edge(self.o_loc[glob[l1]], self.o_loc[glob[l2]], w)
@@ -288,16 +286,15 @@ class PMHLIndex:
         self.dis_o = build_labels(self.td_o) if self.level != "shortcut" else None
         bt["overlay"] = time.perf_counter() - t0
 
-        # Step 1 (phase B): rebuild each partition MHL with the full
-        # boundary-first order (boundary relative order = overlay order).
+        # Step 1 (phase B): resume phase A and contract the boundary in
+        # the overlay order.
         t_parts2 = bt["parts_phase_b"] = {}
-        for u, gl, (residual, nonb_order) in zip(self.units, gls, pass1):
+        for u, (elim, residual) in zip(self.units, pass1):
             t0 = time.perf_counter()
             b_sorted = sorted(u.b_set, key=lambda l: int(self.td_o.rank[self.o_loc[u.vertices[l]]]))
             u.b_local = b_sorted
             u.b_ov = [self.o_loc[u.vertices[l]] for l in b_sorted]
-            u.elim_order = nonb_order + b_sorted
-            u.td = build_treedec(gl, fixed_order=u.elim_order)
+            u.td = finish_boundary_first(elim, b_sorted)
             u.dis = build_labels(u.td) if self.level != "shortcut" else None
             u.res_pos = np.array([position(u.td, a, b) for a, b in residual], dtype=np.int64)
             u.res_w = np.array(list(residual.values()), dtype=np.float64)
@@ -307,16 +304,15 @@ class PMHLIndex:
         if self.level == "shortcut":
             return
 
-        # Steps 4+5: post-boundary indexes L'_i.
+        # Steps 4+5: post-boundary indexes L'_i (boundary-pair bases = D).
         t_post = bt["post"] = {}
-        for u, gl in zip(self.units, gls):
+        for u in self.units:
             t0 = time.perf_counter()
             u.D = boundary_matrix(self.td_o, self.dis_o, u.b_ov)
-            gext = gl.copy()  # extended partition G'_i: boundary pairs pinned to D
-            for a in range(len(u.b_local)):
-                for b in range(a + 1, len(u.b_local)):
-                    gext.add_edge(u.b_local[a], u.b_local[b], float(u.D[a, b]))
-            u.td_post = build_treedec(gext, fixed_order=u.elim_order)
+            bl = u.b_local
+            u.td_post = share_shape(u.td)
+            pins = [(bl[a], bl[b], float(u.D[a, b])) for a in range(len(bl)) for b in range(a + 1, len(bl))]
+            update_shortcuts(u.td_post, pins)
             u.dis_post = build_labels(u.td_post)
             t_post[u.pid] = time.perf_counter() - t0
 

@@ -11,8 +11,9 @@ provided:
   emit the residual boundary shortcuts that form the overlay graph
   (Theorem 2);
 - ``spark_partition_labels``: build each partition's boundary-first MHL
-  (the non-boundary MDE order, then the boundary in ascending vertex id)
-  and emit its H2H labels as flat (pid, v, hub, d) rows.
+  (phase A's contraction, resumed with the boundary in ascending vertex
+  id: each partition is contracted once) and emit its H2H labels as flat
+  (pid, v, hub, d) rows.
 
 Both return DataFrames checked in tests against the single-process
 builders, so the distributed path and the local path cannot drift.
@@ -24,7 +25,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.graphs.graph import Graph
-from repro.core.treedec import boundary_residual, build_labels, build_treedec
+from repro.core.treedec import boundary_residual, build_labels, contract_nonboundary, finish_boundary_first
 from repro.partition.partitioner import Partition
 from repro.sparkdist.labels_df import h2h_label_rows
 
@@ -83,8 +84,7 @@ def spark_partition_labels(spark: SparkSession, graph: Graph, part: Partition) -
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
         pid, vertices, gl, bmask = _local_unit(pdf, part)
-        order, _ = boundary_residual(gl, bmask)
-        td = build_treedec(gl, fixed_order=order + np.flatnonzero(bmask).tolist())
+        td = finish_boundary_first(contract_nonboundary(gl, bmask), np.flatnonzero(bmask).tolist())
         dis = build_labels(td)
         rows = h2h_label_rows(td, dis, id_map=vertices)
         rows.insert(0, "pid", pid)

@@ -1,10 +1,11 @@
 """PMHL: all five query stages exact, Theorem 2, Lemma 2, maintenance."""
+import dataclasses
 import math
 
 import pytest
 
 from repro.core.dijkstra import floyd_warshall
-from repro.core.treedec import h2h_query
+from repro.core.treedec import TreeDec, build_labels, build_treedec, h2h_query
 import repro.psp.pmhl as pmhl
 from repro.psp.pmhl import PMHLIndex, boundary_matrix, hub_query
 from tests.util import pairs_for, small_case, updated_case
@@ -190,19 +191,61 @@ def test_dense_cross_index_equals_per_vertex_reference(built):
             assert np.array_equal(u.lstar[v][0], h) and np.array_equal(u.lstar[v][1], d), v
 
 
+def _extended_partition_post(idx, u):
+    """Reference post-boundary index: the extended partition G'_i as a
+    graph (the partition plus every boundary pair at its D entry),
+    contracted again under the partition tree's order."""
+    gext, _ = idx.graph.subgraph(u.vertices)
+    for a in range(len(u.b_local)):
+        for b in range(a + 1, len(u.b_local)):
+            gext.add_edge(u.b_local[a], u.b_local[b], float(u.D[a, b]))
+    td = build_treedec(gext, fixed_order=u.td.order)
+    return td, build_labels(td)
+
+
+def test_post_tree_equals_extended_partition_build(built):
+    """The post-boundary tree (the partition tree's shape, boundary-pair
+    bases set to D) holds exactly the shortcuts, base weights and labels
+    of a build on G'_i."""
+    idx = built[0]
+    for u in idx.units:
+        td, dis = _extended_partition_post(idx, u)
+        _assert_same_trees(u.td_post, td)
+        assert len(u.dis_post) == len(dis)
+        for v, (ra, rb) in enumerate(zip(u.dis_post, dis)):
+            assert np.array_equal(ra, rb), (u.pid, v)
+
+
 def _assert_same_trees(ta, tb):
     assert np.array_equal(ta.flat, tb.flat)
     assert np.array_equal(ta.base, tb.base)
 
 
+WEIGHTS = ("flat", "sc", "base")
+SHAPE = [f.name for f in dataclasses.fields(TreeDec) if f.name not in WEIGHTS]
+
+
+def _assert_shares_shape(post, td):
+    """``post`` holds ``td``'s structural arrays themselves and only its
+    weights of its own."""
+    for name in SHAPE:
+        assert getattr(post, name) is getattr(td, name), name
+    assert post._up is not None
+    assert post.flat is not td.flat and post.base is not td.base
+    assert all(row.base is post.flat for row in post.sc)
+
+
 def _assert_same_state(a, b):
     """Shortcuts and base weights of every tree, the post-boundary
     labels, D, disB, every L* row and the boundary rows of ``a`` and
-    ``b`` are bit-for-bit equal."""
+    ``b`` are bit-for-bit equal, and each post-boundary tree shares its
+    partition tree's shape."""
     _assert_same_trees(a.td_o, b.td_o)
     for ua, ub in zip(a.units, b.units, strict=True):
         _assert_same_trees(ua.td, ub.td)
         _assert_same_trees(ua.td_post, ub.td_post)
+        _assert_shares_shape(ua.td_post, ua.td)
+        _assert_shares_shape(ub.td_post, ub.td)
         assert len(ua.dis_post) == len(ub.dis_post)
         for v, (ra, rb) in enumerate(zip(ua.dis_post, ub.dis_post)):
             assert np.array_equal(ra, rb), v

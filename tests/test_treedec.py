@@ -14,6 +14,8 @@ from repro.core.treedec import (
     boundary_residual,
     build_labels,
     build_treedec,
+    contract_nonboundary,
+    finish_boundary_first,
     h2h_query,
     position,
     shortcut,
@@ -21,6 +23,7 @@ from repro.core.treedec import (
     update_shortcuts,
 )
 from repro.graphs.generator import road_network, update_batches
+from repro.graphs.graph import Graph
 from repro.partition.partitioner import partition_graph
 from tests.label_reference import reference_labels
 from tests.shortcut_reference import contributors, recompute, reference_update
@@ -116,9 +119,24 @@ def _mask(n, vs):
 
 def _boundary_first(g, forced):
     """``boundary_residual`` on ``forced`` and the boundary-first tree:
-    its non-boundary order, then ``forced`` in ascending vertex id."""
+    phase A's contraction resumed with ``forced`` in ascending vertex id."""
     order, residual = boundary_residual(g, _mask(g.n, forced))
-    return build_treedec(g, fixed_order=order + sorted(forced)), order, residual
+    return finish_boundary_first(contract_nonboundary(g, _mask(g.n, forced)), sorted(forced)), order, residual
+
+
+def _assert_same_tree(a, b):
+    assert a.order == b.order and a.neigh == b.neigh
+    for f in ("flat", "base", "depth", "sup_ptr", "sup_a", "sup_b", "dep_ptr", "dep"):
+        assert np.array_equal(getattr(a, f), getattr(b, f)), f
+
+
+@pytest.mark.parametrize("seed, forced", [(3, {0, 1, 2, 3, 4}), (4, set(range(0, 70, 5)))])
+def test_resumed_tree_equals_fixed_order_build(seed, forced):
+    """Where the boundary chain already holds every boundary pair, the
+    resumed tree is bit for bit the one-pass build under its order."""
+    g, _, _ = small_case(seed)
+    td, order, _ = _boundary_first(g, forced)
+    _assert_same_tree(td, build_treedec(g, fixed_order=order + sorted(forced)))
 
 
 def test_boundary_first_order(td_case):
@@ -188,6 +206,44 @@ def test_boundary_residual_is_interior_shortest_paths(g, boundary):
     assert residual.keys() == want.keys()
     for pair, w in residual.items():
         assert w == pytest.approx(want[pair], rel=1e-12), pair
+
+
+def _bridged_boundary():
+    """Boundary {0, 1, 2}: 0 and 1 are joined only through 2, which is
+    contracted after both, so the order [0, 1, 2] leaves no 0-1 shortcut
+    unless the boundary is completed."""
+    g = Graph(5)
+    for a, b, w in [(0, 3, 1.0), (3, 2, 2.0), (1, 4, 1.0), (4, 2, 3.0)]:
+        g.add_edge(a, b, w)
+    return g, {0, 1, 2}
+
+
+def test_plain_boundary_first_build_misses_a_pair():
+    g, boundary = _bridged_boundary()
+    order, residual = boundary_residual(g, _mask(g.n, boundary))
+    assert residual == {(0, 2): 3.0, (1, 2): 4.0}
+    td = build_treedec(g, fixed_order=order + [0, 1, 2])
+    assert 1 not in td.nidx[0]
+
+
+@pytest.mark.parametrize("g, boundary", [_bridged_boundary(), *_residual_cases()])
+def test_resumed_tree_completes_boundary_chain(g, boundary):
+    """Every boundary pair is a shortcut of the resumed tree, with base
+    INF where the graph has no such edge, and the tree is the one-pass
+    build of the graph plus an INF-weight boundary clique. Distances are
+    unchanged."""
+    bs = sorted(boundary)
+    order, _ = boundary_residual(g, _mask(g.n, boundary))
+    td = finish_boundary_first(contract_nonboundary(g, _mask(g.n, boundary)), bs)
+    clique = g.copy()
+    for i, a in enumerate(bs):
+        for b in bs[i + 1 :]:
+            assert td.base[position(td, a, b)] == g.adj[a].get(b, math.inf)
+            clique.add_edge(a, b, math.inf)  # min-merge: keeps an existing edge
+    _assert_same_tree(td, build_treedec(clique, fixed_order=order + bs))
+    dis = build_labels(td)
+    for s, want in _interior_dijkstra(g, bs[0], set()).items():
+        assert h2h_query(td, dis, bs[0], s) == want, s
 
 
 def test_support_min_skip_matches_brute_force():
