@@ -21,6 +21,12 @@ The index aggregates, per partition G_i with boundary B_i:
 
 Query stages (fastest *available* index answers):
   1 BiDijkstra → 2 PCH → 3 no-boundary → 4 post-boundary → 5 cross-boundary
+Stages 3 and 4 concatenate across B_s and B_t by the same Lemma: the
+min over the hubs both partitions share of ``min_a d(s, b_a) + H_i[a]``
+and ``min_b d(t, b_b) + H_j[b]``, with d(s, b_a) gathered from the
+partition labels (``L_i`` in stage 3, ``L'_i`` in stage 4). ``H_i`` is
+kept per partition and refreshed in U3; U4's ``D_i = H_i ⊗ H_iᵀ`` and
+U5's ``L*`` read it too.
 Update stages U1–U5 mirror §V-D; ``apply_batch`` returns per-task
 durations so stage wall-clock under p workers is an LPT schedule
 (DESIGN.md §2). Maintenance hands ``(u, v, w)`` changes to
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,35 +88,14 @@ def joined_min(d1: np.ndarray, i1: np.ndarray, d2: np.ndarray, i2: np.ndarray) -
     return float((d1[i1] + d2[i2]).min())
 
 
-def hub_query(h1: np.ndarray, d1: np.ndarray, h2: np.ndarray, d2: np.ndarray) -> float:
-    """2-hop-cover query over two sorted hub arrays: the generic form of
-    ``query_cross``'s precomputed join, kept as its reference in tests."""
-    _, i1, i2 = np.intersect1d(h1, h2, assume_unique=True, return_indices=True)
-    return joined_min(d1, i1, d2, i2)
-
-
-def boundary_matrix(td: TreeDec, dis: list, verts: list[int]) -> np.ndarray:
-    """All-pair distances among ``verts`` by H2H queries on (td, dis)."""
-    D = np.zeros((len(verts), len(verts)), dtype=np.float64)
-    refresh_boundary_matrix(td, dis, verts, D, set(verts))
-    return D
-
-
-def refresh_boundary_matrix(td: TreeDec, dis: list, verts: list[int], D: np.ndarray, changed: set[int]) -> list:
-    """Re-query the entries of ``D`` (distances among ``verts``) with an
-    endpoint in ``changed``; the others hold, because ``h2h_query(a, b)``
-    reads only the rows of a and b. Writes the entries that moved and
-    returns them as ``(a, b, w)`` with a < b, in row order."""
-    hit = [v in changed for v in verts]
-    moved = []
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            if hit[a] or hit[b]:
-                w = h2h_query(td, dis, verts[a], verts[b])
-                if w != D[a, b]:
-                    D[a, b] = D[b, a] = w
-                    moved.append((a, b, w))
-    return moved
+def boundary_rows(H: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """Rows ``rows`` of ``D = H ⊗ Hᵀ``, the distances among B_i (Lemma 2
+    over the overlay hubs): ``D[a, b] = min_h H[a, h] + H[b, h]``, one
+    vector per row. The diagonal is 0 (``H[a]`` is 0 at b_a's own hub)."""
+    out = np.empty((len(rows), H.shape[0]), dtype=np.float64)
+    for k, a in enumerate(rows):
+        out[k] = (H[a] + H).min(axis=1)
+    return out
 
 
 def disB_plan(td: TreeDec, row: dict[int, int], boundary: list[int]) -> tuple:
@@ -159,23 +145,6 @@ def build_disB(td: TreeDec, plan: tuple, D: np.ndarray) -> np.ndarray:
     return M
 
 
-def concat_min(td: TreeDec, dis: list, ds, bs, dt, bt) -> float:
-    """Distance concatenation through two boundary sets: the min over
-    (a, b) of ``ds[a] + d(bs[a], bt[b]) + dt[b]``, with d an H2H query on
-    (td, dis); INF entries of ``ds`` / ``dt`` are skipped."""
-    best = INF
-    for da, b1 in zip(ds, bs):
-        if da == INF:
-            continue
-        for db, b2 in zip(dt, bt):
-            if db == INF:
-                continue
-            d = da + h2h_query(td, dis, b1, b2) + db
-            if d < best:
-                best = d
-    return best
-
-
 def cross_labels(disB: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Lemma 2 as one min-plus product ``disB ⊗ H`` (a fresh matrix):
     row v of the result is ``min_j disB[v, j] + H[j]``."""
@@ -194,6 +163,7 @@ class PartitionUnit:
     vertices: list[int]
     loc: dict[int, int]
     b_local: list[int] = field(default_factory=list)   # boundary, overlay-rank order
+    b_anc: np.ndarray | None = None                    # per vertex: B_i's vertices on its root path
     b_ov: list[int] = field(default_factory=list)      # boundary, overlay ids
     b_set: set[int] = field(default_factory=set)       # local boundary set
     b_mask: np.ndarray | None = None                   # local boundary, bool per vertex
@@ -208,13 +178,14 @@ class PartitionUnit:
     td_post: TreeDec | None = None                     # td's shape; boundary-pair base weights = D
     dis_post: list | None = None
     D: np.ndarray | None = None                        # |B|×|B| global boundary dists
-    # cross-boundary index; the tree shapes never change, so ``nonb``,
-    # ``plan``, ``hubs`` and ``bcols`` are fixed at build
+    # hub layout and cross-boundary index; the tree shapes never change,
+    # so ``hubs``, ``bcols``, ``nonb`` and ``plan`` are fixed at build
+    hubs: np.ndarray | None = None                     # sorted union of B_i's overlay hubs
+    bcols: list[np.ndarray] = field(default_factory=list)  # b_j's overlay ancestors' columns in ``hubs``
+    H: np.ndarray | None = None                        # |B|×|hubs|: row j = b_j's dis_o row at bcols[j], INF elsewhere
     disB: np.ndarray | None = None                     # n×|B|: row v = d_G(v, B_i)
     nonb: np.ndarray | None = None                     # non-boundary local ids
     plan: tuple = ()                                   # disB_plan of td_post
-    hubs: np.ndarray | None = None                     # sorted union of B_i's overlay hubs
-    bcols: list[np.ndarray] = field(default_factory=list)  # b_j's overlay ancestors' columns in ``hubs``
     lrows: list[np.ndarray] = field(default_factory=list)  # local id -> L* row (views of one matrix)
     lstar: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)  # non-boundary v -> (hubs, lrows[v])
 
@@ -295,6 +266,19 @@ class PMHLIndex:
             u.b_local = b_sorted
             u.b_ov = [self.o_loc[u.vertices[l]] for l in b_sorted]
             u.td = finish_boundary_first(elim, b_sorted)
+            # The Lemma-2 stages read d(v, B_i) from v's label row: B_i
+            # must be the top chain of the tree, b_local deepest first.
+            bdep = u.td.depth[b_sorted]
+            if not np.array_equal(bdep, np.arange(len(b_sorted))[::-1]):
+                raise AssertionError(f"partition {u.pid}: boundary depths {bdep.tolist()} are not |B|-1, ..., 0")
+            depth, parent = u.td.depth.tolist(), u.td.parent.tolist()
+            b_anc = [0] * len(u.vertices)
+            for v in reversed(u.td.order):  # parents first
+                if v in u.b_set:
+                    b_anc[v] = depth[v] + 1
+                elif parent[v] >= 0:
+                    b_anc[v] = b_anc[parent[v]]
+            u.b_anc = np.array(b_anc, dtype=np.int64)
             u.dis = build_labels(u.td) if self.level != "shortcut" else None
             u.res_pos = np.array([position(u.td, a, b) for a, b in residual], dtype=np.int64)
             u.res_w = np.array(list(residual.values()), dtype=np.float64)
@@ -304,11 +288,19 @@ class PMHLIndex:
         if self.level == "shortcut":
             return
 
+        # Hub layout, and each partition's H_i: B_i's overlay labels.
+        t0 = time.perf_counter()
+        self._build_hub_joins()
+        bt["boundary_hubs"] = time.perf_counter() - t0
+
         # Steps 4+5: post-boundary indexes L'_i (boundary-pair bases = D).
         t_post = bt["post"] = {}
         for u in self.units:
             t0 = time.perf_counter()
-            u.D = boundary_matrix(self.td_o, self.dis_o, u.b_ov)
+            u.H = np.full((len(u.bcols), len(u.hubs)), INF, dtype=np.float64)
+            every_row = range(len(u.b_ov))
+            self._set_hub_rows(u, every_row)
+            u.D = boundary_rows(u.H, every_row)
             bl = u.b_local
             u.td_post = share_shape(u.td)
             pins = [(bl[a], bl[b], float(u.D[a, b])) for a in range(len(bl)) for b in range(a + 1, len(bl))]
@@ -320,9 +312,6 @@ class PMHLIndex:
             return
 
         # Step 6: cross-boundary index L*.
-        t0 = time.perf_counter()
-        self._build_hub_joins()
-        bt["boundary_hubs"] = time.perf_counter() - t0
         t_cross = bt["cross"] = {}
         for u in self.units:
             t0 = time.perf_counter()
@@ -348,20 +337,22 @@ class PMHLIndex:
             for ui in self.units
         ]
 
+    def _set_hub_rows(self, u: PartitionUnit, rows: Sequence[int]) -> None:
+        """Write rows ``rows`` of ``H``: b_j's overlay label ``dis_o`` at
+        its hub columns ``bcols[j]`` (the other columns stay INF)."""
+        for j in rows:
+            u.H[j, u.bcols[j]] = self.dis_o[u.b_ov[j]]
+
     def _build_cross(self, u: PartitionUnit) -> None:
         """Rebuild ``disB`` and the partition's ``L*`` matrix (Lemma 2)
         into fresh arrays; earlier rows stay as they were.
 
-        ``H[j]`` is b_j's overlay label ``dis_o`` scattered to its hub
-        columns ``bcols[j]`` (INF where b_j lacks a hub). It is b_j's own
-        ``L*`` row; every other row is ``disB ⊗ H``.
+        ``H[j]`` (kept current by U3) is b_j's own ``L*`` row; every
+        other row is ``disB ⊗ H``.
         """
         u.disB = build_disB(u.td_post, u.plan, u.D)
-        H = np.full((len(u.bcols), len(u.hubs)), INF, dtype=np.float64)
-        for j, (cols, o) in enumerate(zip(u.bcols, u.b_ov)):
-            H[j, cols] = self.dis_o[o]
-        L = cross_labels(u.disB, H)
-        L[u.b_local] = H
+        L = cross_labels(u.disB, u.H)
+        L[u.b_local] = u.H
         u.lrows = list(L)
         u.lstar = {v: (u.hubs, u.lrows[v]) for v in u.nonb.tolist()}
 
@@ -392,23 +383,36 @@ class PMHLIndex:
     def query_pch(self, s: int, t: int) -> float:
         return ch_query_rows(self._pch_rows, s, t)
 
-    def _concat(self, s: int, t: int, td_attr: str, dis_attr: str) -> float:
-        """Boundary-concatenated cross/same-partition distance."""
+    def _hub_row(self, u: PartitionUnit, l: int, dis: list) -> np.ndarray:
+        """d(v, ·) over the partition's hubs through B_i, v = local ``l``
+        (Lemma 2). A boundary vertex's vector is its own ``H`` row. Any
+        other v reaches B_i through its boundary ancestors (the tree
+        separates it from the rest of B_i), which are the top
+        ``b_anc[l]`` depths of both partition trees, the last rows of
+        ``H``: the vector is ``min_d dis[l][d] + H[|B| - 1 - d]``."""
+        if l in u.b_set:
+            return u.H[len(u.b_local) - 1 - int(u.td.depth[l])]
+        k = u.b_anc[l]
+        return (dis[l][:k, None] + u.H[::-1][:k]).min(axis=0, initial=INF)
+
+    def _via_hubs(self, s: int, t: int, dis_attr: str) -> float:
+        """Boundary concatenation as Lemma 2's min-plus product: the min
+        over the hubs partitions i and j share of s's and t's hub
+        vectors (``dis_attr`` names the partition labels they read)."""
         i, j = int(self.part.pid[s]), int(self.part.pid[t])
         ui, uj = self.units[i], self.units[j]
-        tdi, disi = getattr(ui, td_attr), getattr(ui, dis_attr)
-        tdj, disj = getattr(uj, td_attr), getattr(uj, dis_attr)
-        ls, lt = ui.loc[s], uj.loc[t]
-        ds = [h2h_query(tdi, disi, ls, b) for b in ui.b_local]
-        dt = [h2h_query(tdj, disj, lt, b) for b in uj.b_local]
-        return concat_min(self.td_o, self.dis_o, ds, ui.b_ov, dt, uj.b_ov)
+        i1, i2 = self.hub_joins[i][j]
+        return joined_min(
+            self._hub_row(ui, ui.loc[s], getattr(ui, dis_attr)), i1,
+            self._hub_row(uj, uj.loc[t], getattr(uj, dis_attr)), i2,
+        )
 
     def query_noboundary(self, s: int, t: int) -> float:
-        """Q-Stage 3: L_i + ~L with distance concatenation (slow)."""
+        """Q-Stage 3: L_i + ~L, concatenated through the hubs."""
         if s == t:
             return 0.0
         i, j = int(self.part.pid[s]), int(self.part.pid[t])
-        via = self._concat(s, t, "td", "dis")
+        via = self._via_hubs(s, t, "dis")
         if i == j:
             u = self.units[i]
             local = h2h_query(u.td, u.dis, u.loc[s], u.loc[t])
@@ -416,14 +420,15 @@ class PMHLIndex:
         return via
 
     def query_postboundary(self, s: int, t: int) -> float:
-        """Q-Stage 4: fast same-partition via L'_i; cross still concatenates."""
+        """Q-Stage 4: same-partition via L'_i; cross-partition through the
+        hubs from L'_i's labels."""
         if s == t:
             return 0.0
         i, j = int(self.part.pid[s]), int(self.part.pid[t])
         if i == j:
             u = self.units[i]
             return h2h_query(u.td_post, u.dis_post, u.loc[s], u.loc[t])
-        return self._concat(s, t, "td_post", "dis_post")
+        return self._via_hubs(s, t, "dis_post")
 
     def query_cross(self, s: int, t: int) -> float:
         """Q-Stage 5: same-partition via L'_i, cross-partition via L*."""
@@ -497,6 +502,10 @@ class PMHLIndex:
         t0 = time.perf_counter()
         ov_roots = prune_to_subtree_roots(self.td_o, res_o.affected)
         changed_ov = relabel(self.td_o, self.dis_o, ov_roots)
+        # H_i's rows are B_i's overlay labels: the Lemma-2 query stages
+        # read them as soon as this stage ends.
+        for u in self.units:
+            self._set_hub_rows(u, [j for j, o in enumerate(u.b_ov) if o in changed_ov])
         out["u3"] = {"parts": u3_parts, "overlay": time.perf_counter() - t0}
 
         # ---- U4: post-boundary index update -------------------------
@@ -507,17 +516,7 @@ class PMHLIndex:
             if i not in intra and changed_ov.isdisjoint(u.b_ov):
                 continue
             t0 = time.perf_counter()
-            # a boundary pair's weight is pinned to D (below)
-            changes = [
-                (u.loc[a], u.loc[b], w) for a, b, w in intra.get(i, ()) if not {u.loc[a], u.loc[b]} <= u.b_set
-            ]
-            moved = refresh_boundary_matrix(self.td_o, self.dis_o, u.b_ov, u.D, changed_ov)
-            changes.extend((u.b_local[a], u.b_local[b], w) for a, b, w in moved)
-            res_p = update_shortcuts(u.td_post, changes)
-            roots = prune_to_subtree_roots(u.td_post, res_p.affected)
-            if roots:
-                build_labels(u.td_post, roots=roots, dis=u.dis_post)
-            if roots or res_p.affected:
+            if self._update_post(u, intra.get(i, ()), changed_ov):
                 post_label_changed.add(i)
             u4_parts[i] = time.perf_counter() - t0
         out["u4"] = {"parts": u4_parts}
@@ -539,6 +538,25 @@ class PMHLIndex:
         out["u5"] = {"parts": u5_parts, "boundary_hubs": 0.0}
         return out
 
+    def _update_post(self, u: PartitionUnit, intra: list, changed_ov: set[int]) -> bool:
+        """U4 of one partition: the rows of ``D`` whose boundary vertex's
+        overlay label changed are recomputed from ``H`` (the others hold,
+        as ``D[a, b]`` reads only rows a and b of ``H``); the moved
+        entries and the partition's edge changes go to ``td_post``, then
+        its labels. Returns whether any ``td_post`` row changed."""
+        # a boundary pair's weight is pinned to D (below)
+        changes = [(u.loc[a], u.loc[b], w) for a, b, w in intra if not {u.loc[a], u.loc[b]} <= u.b_set]
+        rows = [a for a, o in enumerate(u.b_ov) if o in changed_ov]
+        for a, new in zip(rows, boundary_rows(u.H, rows)):
+            moved = np.flatnonzero(new != u.D[a])
+            u.D[a, moved] = u.D[moved, a] = new[moved]
+            changes.extend((u.b_local[a], u.b_local[b], float(new[b])) for b in moved.tolist())
+        res_p = update_shortcuts(u.td_post, changes)
+        roots = prune_to_subtree_roots(u.td_post, res_p.affected)
+        if roots:
+            build_labels(u.td_post, roots=roots, dis=u.dis_post)
+        return bool(roots or res_p.affected)
+
     # ------------------------------------------------------------------
     def index_size(self) -> int:
         """Total index entries across all PMHL components."""
@@ -553,8 +571,9 @@ class PMHLIndex:
             if u.disB is not None:
                 total += u.disB.size
             total += sum(len(h) for h, _ in u.lstar.values())
-            # a boundary row holds only its overlay label's entries
-            total += sum(len(c) for c in u.bcols)
+            if self.level == "full":
+                # a boundary row holds only its overlay label's entries
+                total += sum(len(c) for c in u.bcols)
         total += sum(len(nb) for nb in self.td_o.neigh)
         if self.dis_o is not None:
             total += sum(len(d) for d in self.dis_o)

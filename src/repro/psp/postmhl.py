@@ -23,13 +23,16 @@ plain ``build_labels`` over the partition subtree.
 
 Update stages: U1 edge refresh → U2 shortcuts (partition-parallel
 sweeps + overlay sweep over the escaped dirty positions) → U3 overlay labels
-and the re-gathered ``D_i`` of partitions with a changed ``B_i`` row →
+and the re-gathered ``D_i`` and ``H_i`` of partitions with a changed ``B_i`` row →
 U4 post-boundary and U5 cross-boundary per-partition in parallel. U4 is
 change-driven: it reads only ``D_i`` (a gather, :func:`boundary_gather`)
 and the partition's shortcuts, so it runs only where one of them changed;
 U5 runs wherever U4 ran or an overlay ancestor's row changed.
-Queries per stage: BiDijkstra → CH → post-boundary (disB + overlay
-concatenation across partitions) → full H2H.
+Queries per stage: BiDijkstra → CH → post-boundary → full H2H. Across
+partitions the post-boundary stage concatenates ``disB`` through the
+overlay as Lemma 2's min-plus product: ``H_i`` holds B_i's label rows
+over the root's overlay ancestors (``hub_matrix``), and partitions i and
+j share the depth prefix of them up to ``lca(root_i, root_j)``.
 """
 from __future__ import annotations
 
@@ -44,7 +47,7 @@ from repro.core.dijkstra import bidijkstra
 from repro.core.h2h import prune_to_subtree_roots
 from repro.core.treedec import TreeDec, build_labels, build_treedec, h2h_query, update_shortcuts
 from repro.partition.tdpartition import TDPartitionResult, td_partition
-from repro.psp.pmhl import build_disB, concat_min, disB_plan, relabel
+from repro.psp.pmhl import build_disB, disB_plan, relabel
 
 INF = math.inf
 
@@ -62,6 +65,18 @@ def boundary_gather(td: TreeDec, dis: list, root: int) -> np.ndarray:
     for a in range(len(bs) - 1):
         D[a, a + 1 :] = D[a + 1 :, a] = dis[bs[a]][dep[a + 1 :]]
     return D
+
+
+def hub_matrix(td: TreeDec, dis: list, root: int) -> np.ndarray:
+    """H_i: row a is ``dis[b_a]`` for b_a ∈ B_i = X(root).N, padded with
+    INF to the root's depth. Column h is the root's overlay ancestor at
+    depth h, which is b_a's ancestor for every h ≤ depth(b_a): B_i's
+    overlay labels over the hubs they share (Lemma 2)."""
+    bs = td.neigh[root]
+    H = np.full((len(bs), int(td.depth[root])), INF, dtype=np.float64)
+    for a, b in enumerate(bs):
+        H[a, : len(dis[b])] = dis[b]
+    return H
 
 
 class PostMHLIndex:
@@ -94,6 +109,13 @@ class PostMHLIndex:
         self.in_part = self.tdp.pid >= 0
         self.plans: list[tuple] = [()] * self.k  # disB_plan per partition
         self.D: list[np.ndarray | None] = [None] * self.k
+        self.H: list[np.ndarray | None] = [None] * self.k  # hub_matrix per partition
+        # hub_prefix[i, j]: how many hubs H_i and H_j share, the common
+        # prefix of the roots' overlay-ancestor paths (down to their LCA;
+        # the paths never meet again below it). Row i pads with -1 - i.
+        width = max(self.novl)
+        paths = np.array([anc + [-1 - i] * (width - len(anc)) for i, anc in enumerate(self.ov_anc)])
+        self.hub_prefix = np.array([(paths == row).sum(axis=1) for row in paths])
         self.disB: list[np.ndarray | None] = [None] * graph.n
         self.dis: list[np.ndarray | None] = [None] * graph.n
         self.build_times: dict[str, object] = {}
@@ -114,6 +136,7 @@ class PostMHLIndex:
             row.update((v, len(bs) + j) for j, v in enumerate(part))
             self.plans[i] = disB_plan(self.td, row, bs)
             self.D[i] = boundary_gather(self.td, self.dis, self.tdp.roots[i])
+            self.H[i] = hub_matrix(self.td, self.dis, self.tdp.roots[i])
             self._build_post(i)
             t_post[i] = time.perf_counter() - t0
             t0 = time.perf_counter()
@@ -186,12 +209,23 @@ class PostMHLIndex:
                 best = float((self.dis[s][idx] + self.dis[t][idx]).min()) if len(idx) else INF
             best = min(best, float((self.disB[s] + self.disB[t]).min()))
             return best
+        # Across partitions, concatenate through B_j (and B_i) as Lemma 2's
+        # min-plus product over the common hubs, a depth prefix.
         if j == -1:
             s, t, i, j = t, s, j, i  # make s the overlay endpoint if any
         if i == -1:
-            # overlay ↔ partition j: concatenate through B_j.
-            return concat_min(td, self.dis, [0.0], [s], self.disB[t], self.tdp.boundary[j])
-        return concat_min(td, self.dis, self.disB[s], self.tdp.boundary[i], self.disB[t], self.tdp.boundary[j])
+            # overlay ↔ partition j: s's label row is its hub vector, over
+            # the ancestors s shares with root_j
+            r = self.tdp.roots[j]
+            p = int(td.depth[td.lca(s, r)]) + 1 if td.root_of[s] == td.root_of[r] else 0
+            return float((self.dis[s][:p] + self._hub_vector(t, j, p)).min(initial=INF))
+        p = self.hub_prefix[i, j]
+        return float((self._hub_vector(s, i, p) + self._hub_vector(t, j, p)).min(initial=INF))
+
+    def _hub_vector(self, v: int, i: int, p: int) -> np.ndarray:
+        """d(v, ·) over the first ``p`` hubs of partition i, through B_i:
+        ``min_a disB[v][a] + H_i[a, :p]``."""
+        return (self.disB[v][:, None] + self.H[i][:, :p]).min(axis=0)
 
     def query(self, s: int, t: int) -> float:
         """Q-Stage 4 (final): full H2H query — equivalent to DH2H."""
@@ -240,11 +274,12 @@ class PostMHLIndex:
         roots = prune_to_subtree_roots(td, ov_affected)
         changed_ov = relabel(td, self.dis, roots, self.tdp.overlay)
         # changed_ov holds overlay vertices whose label values truly
-        # changed; D_i is a gather of B_i's rows, so only a changed B_i
-        # row can move it.
+        # changed; D_i and H_i are gathers of B_i's rows, so only a
+        # changed B_i row can move them. Q-stage 3 reads H_i.
         changed_D: set[int] = set()
         for i, bs in enumerate(self.tdp.boundary):
             if not changed_ov.isdisjoint(bs):
+                self.H[i] = hub_matrix(td, self.dis, self.tdp.roots[i])
                 D = boundary_gather(td, self.dis, self.tdp.roots[i])
                 if not np.array_equal(D, self.D[i]):
                     self.D[i] = D

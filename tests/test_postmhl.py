@@ -6,8 +6,8 @@ import pytest
 
 from repro.core.dijkstra import floyd_warshall
 from repro.core.h2h import H2HIndex
-from repro.psp.pmhl import boundary_matrix
 from repro.psp.postmhl import PostMHLIndex, boundary_gather
+from tests.concat_reference import boundary_matrix
 from tests.util import pairs_for, small_case, updated_case
 
 PARAMS = [(0, 8, 4), (1, 8, 5), (2, 10, 4)]
