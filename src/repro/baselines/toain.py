@@ -21,6 +21,7 @@ has no update-side savings — noted in EXPERIMENTS.md where it matters.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import time
 
@@ -32,7 +33,9 @@ INF = math.inf
 
 class TOAINIndex(CHIndex):
     """Core-CH hybrid with an adaptive core-size knob; tree build, DCH
-    maintenance, query driver and size are ``CHIndex``'s."""
+    maintenance and size are ``CHIndex``'s. The query is its own: below
+    the core the search relaxes graph edges, which lead to any vertex,
+    so it needs a heap where a pure CH walks the root path."""
 
     def __init__(self, graph: Graph, *, core_frac: float = 0.25):
         super().__init__(graph)
@@ -48,6 +51,38 @@ class TOAINIndex(CHIndex):
         if int(self.td.rank[u]) >= self._core_min_rank:
             return zip(self.td.neigh[u], self.td.sc[u])
         return self.graph.adj[u].items()
+
+    def _search(self, s: int) -> dict[int, float]:
+        """Dijkstra over the hybrid edges (``_rows``); returns settled dists."""
+        dist: dict[int, float] = {s: 0.0}
+        done: set[int] = set()
+        pq: list[tuple[float, int]] = [(0.0, s)]
+        while pq:
+            d, u = heapq.heappop(pq)
+            if u in done:
+                continue
+            done.add(u)
+            for v, w in self._rows(u):
+                nd = d + w
+                if nd < dist.get(v, INF):
+                    dist[v] = nd
+                    heapq.heappush(pq, (nd, v))
+        return dist
+
+    def query(self, s: int, t: int) -> float:
+        """Bidirectional hybrid search; min over common settled vertices."""
+        if s == t:
+            return 0.0
+        df = self._search(s)
+        db = self._search(t)
+        if len(df) > len(db):
+            df, db = db, df
+        best = INF
+        for v, d in df.items():
+            d2 = db.get(v)
+            if d2 is not None and d + d2 < best:
+                best = d + d2
+        return best
 
     def tune(self, pairs: list[tuple[int, int]], fracs=(0.02, 0.05, 0.15, 0.4, 1.0)) -> float:
         """Pick the core fraction minimizing mean query time."""

@@ -2,60 +2,83 @@
 
 Lemma 4 of the paper: under the same (MDE) vertex order, the shortcuts
 produced by tree decomposition are exactly the CH shortcut index. So the
-CH index *is* a ``TreeDec``; the CH query is a bidirectional upward
-Dijkstra over the shortcut rows, and DCH maintenance is
-``update_shortcuts`` (the bottom-up shortcut-centric pass).
+CH index *is* a ``TreeDec`` and DCH maintenance is ``update_shortcuts``
+(the bottom-up shortcut-centric pass).
+
+It also makes the CH query a DP with no heap: every shortcut of v goes
+to a tree ancestor of v, so v's upward search space is its root path,
+and walking it deepest first (``dist[pos[x]] = min(dist[pos[x]],
+dist[depth[x]] + sc[x])``) reaches each ancestor only after every vertex
+below it on the path, when its distance is final. A query takes the
+min of ``dist_s + dist_t`` over the common ancestors, the depth prefix
+up to the LCA.
+
+Rows are tens of entries long, where a Python loop over ``tolist()``
+beats a NumPy call per ancestor.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import time
-from typing import Callable, Iterable
+from operator import add
 
 from repro.graphs.graph import Graph
 from repro.core.treedec import TreeDec, build_treedec, update_shortcuts
 
 INF = math.inf
 
-# A "row function" maps a vertex to its upward shortcut edges (u, w).
-# CH searches never need rank comparisons: stored rows already point
-# strictly upward, and upward closures compose (neighbors are ancestors).
-RowFn = Callable[[int], Iterable[tuple[int, float]]]
+
+class TreeCH:
+    """A tree decomposition read as a CH: its shape as Python lists
+    (fixed, as the tree never changes shape: parents, depths and each
+    row's neighbour depths ``pos``) and its live shortcut rows ``td.sc``,
+    which maintenance updates in place."""
+
+    def __init__(self, td: TreeDec):
+        self.td = td
+        self.parent = td.parent.tolist()
+        self.depth = td.depth.tolist()
+        self.pos = [p.tolist() for p in td.pos]
+
+    def up(self, v: int, stop: list[bool] | None = None) -> list[float]:
+        """Upward distances of v, indexed by depth: entry d is the
+        shortest upward path from v to its ancestor at depth d (INF where
+        there is none). The root-path DP walks v's ancestors deepest
+        first, up to the root or to the first one marked in ``stop``,
+        whose row it does not relax."""
+        parent, pos, sc = self.parent, self.pos, self.td.sc
+        d = self.depth[v]
+        dist = [INF] * (d + 1)
+        dist[d] = 0.0
+        x = v
+        while x >= 0 and not (stop and stop[x]):
+            dx = dist[d]
+            if dx < INF:
+                for p, w in zip(pos[x], sc[x].tolist()):
+                    c = dx + w
+                    if c < dist[p]:
+                        dist[p] = c
+            x = parent[x]
+            d -= 1
+        return dist
+
+    def meet(self, s: int, ds: list[float], t: int, dt: list[float]) -> float:
+        """min of ``ds + dt`` over the common ancestors of s and t."""
+        td = self.td
+        if td.root_of[s] != td.root_of[t]:
+            return INF
+        p = self.depth[td.lca(s, t)] + 1
+        return min(map(add, ds[:p], dt[:p]))
 
 
-def upward_search(rows: RowFn, s: int) -> dict[int, float]:
-    """Dijkstra restricted to upward shortcut edges; returns settled dists."""
-    dist: dict[int, float] = {s: 0.0}
-    done: set[int] = set()
-    pq: list[tuple[float, int]] = [(0.0, s)]
-    while pq:
-        d, u = heapq.heappop(pq)
-        if u in done:
-            continue
-        done.add(u)
-        for v, w in rows(u):
-            nd = d + w
-            if nd < dist.get(v, INF):
-                dist[v] = nd
-                heapq.heappush(pq, (nd, v))
-    return dist
-
-
-def ch_query_rows(rows: RowFn, s: int, t: int) -> float:
-    """Bidirectional upward search; min over common settled vertices."""
+def ch_query_rows(ch, s: int, t: int) -> float:
+    """One CH query: the min of ``ds + dt`` over the vertices both upward
+    search spaces share. ``ch`` gives a vertex's upward distances
+    (``up``) and joins two of them (``meet``): a :class:`TreeCH`, or
+    PMHL's partition ∪ overlay CH."""
     if s == t:
         return 0.0
-    df = upward_search(rows, s)
-    db = upward_search(rows, t)
-    if len(df) > len(db):
-        df, db = db, df
-    best = INF
-    for v, d in df.items():
-        d2 = db.get(v)
-        if d2 is not None and d + d2 < best:
-            best = d + d2
-    return best
+    return ch.meet(s, ch.up(s), t, ch.up(t))
 
 
 class CHIndex:
@@ -67,12 +90,10 @@ class CHIndex:
         t0 = time.perf_counter()
         self.td: TreeDec = build_treedec(graph)
         self.build_time = time.perf_counter() - t0
-
-    def _rows(self, v: int) -> Iterable[tuple[int, float]]:
-        return zip(self.td.neigh[v], self.td.sc[v])
+        self.ch = TreeCH(self.td)
 
     def query(self, s: int, t: int) -> float:
-        return ch_query_rows(self._rows, s, t)
+        return ch_query_rows(self.ch, s, t)
 
     def apply_batch(self, updates: list[tuple[int, int, float]]) -> float:
         """Apply a weight batch and maintain shortcuts; returns seconds."""

@@ -6,7 +6,9 @@ Labeling): the H2H index *extended with the CH shortcut arrays*
 index can serve queries from whichever stage is ready:
 
 - stage 0: graph updated, shortcuts stale  → BiDijkstra on the graph;
-- stage 1: shortcuts updated (DCH phase)   → CH query;
+- stage 1: shortcuts updated (DCH phase)   → CH query, the root-path
+  DP of Lemma 4 (``TreeCH``: a vertex's upward search space is its tree
+  ancestors, so no heap);
 - stage 2: labels updated (DH2H phase)     → H2H query.
 
 DH2H maintenance = bottom-up shortcut pass (``update_shortcuts``) +
@@ -20,7 +22,7 @@ import time
 from repro.graphs.graph import Graph
 from repro.core.dijkstra import bidijkstra
 from repro.core.treedec import build_labels, build_treedec, h2h_query, update_shortcuts
-from repro.core.ch import ch_query_rows
+from repro.core.ch import TreeCH, ch_query_rows
 
 
 def prune_to_subtree_roots(td, affected: set[int]) -> list[int]:
@@ -51,13 +53,14 @@ class H2HIndex:
         self.dis = build_labels(self.td)
         self.label_time = time.perf_counter() - t0
         self.build_time = self.shortcut_time + self.label_time
+        self.ch = TreeCH(self.td)
 
     # -- queries at each stage ----------------------------------------
     def query(self, s: int, t: int) -> float:
         return h2h_query(self.td, self.dis, s, t)
 
     def query_ch(self, s: int, t: int) -> float:
-        return ch_query_rows(lambda v: zip(self.td.neigh[v], self.td.sc[v]), s, t)
+        return ch_query_rows(self.ch, s, t)
 
     def query_bidij(self, s: int, t: int) -> float:
         return bidijkstra(self.graph, s, t)

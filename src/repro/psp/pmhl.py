@@ -21,6 +21,8 @@ The index aggregates, per partition G_i with boundary B_i:
 
 Query stages (fastest *available* index answers):
   1 BiDijkstra → 2 PCH → 3 no-boundary → 4 post-boundary → 5 cross-boundary
+PCH reads only the shortcut arrays: it walks the partition tree and then
+the partition's overlay hubs as root-path DPs (Lemma 4, ``UnionCH``).
 Stages 3 and 4 concatenate across B_s and B_t by the same Lemma: the
 min over the hubs both partitions share of ``min_a d(s, b_a) + H_i[a]``
 and ``min_b d(t, b_b) + H_j[b]``, with d(s, b_a) gathered from the
@@ -40,11 +42,12 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.core.ch import ch_query_rows
+from repro.core.ch import TreeCH, ch_query_rows
 from repro.core.dijkstra import bidijkstra
 from repro.core.h2h import prune_to_subtree_roots
 from repro.core.treedec import (
@@ -152,6 +155,80 @@ def cross_labels(disB: np.ndarray, H: np.ndarray) -> np.ndarray:
     for j in range(H.shape[0]):
         np.minimum(L, disB[:, j, None] + H[j], out=L)
     return L
+
+
+class UnionCH:
+    """PMHL's PCH index, the union CH of the partition trees and the
+    overlay tree, searched as root-path DPs (Lemma 4) with no heap.
+
+    Phase 1 walks v's partition tree path (``TreeCH.up``) and stops at
+    B_i, the top chain of the tree, or at the root of a component with
+    no boundary. Above B_i every upward edge joins two boundary vertices:
+    a boundary vertex's partition row holds the shallower part of its
+    chain, its overlay row its overlay ancestors. Phase 2 scatters the
+    chain's distances into a vector over the partition's hubs (``hubs``,
+    the union of B_i's overlay ancestors) and relaxes the hubs' overlay
+    rows in overlay-rank order (a static schedule of hub columns; the
+    weights are read live from ``td_o.sc``).
+
+    Phase 2 leaves out the boundary vertices' partition rows: the overlay
+    holds each of their finite shortcuts with a weight no larger. The
+    overlay contracts the same residual edges in the same order, and
+    vertices of other partitions besides, which only lower its weights.
+    """
+
+    def __init__(self, index: "PMHLIndex"):
+        self.index = index
+        td_o = index.td_o
+        ov = np.asarray(index.ov_vertices, dtype=np.int64)
+        self.trees = [TreeCH(u.td) for u in index.units]
+        self.stop = [u.b_mask.tolist() for u in index.units]
+        self.chain: list[list[int]] = []  # hub column of B_i's vertex at each depth
+        self.steps: list[list[tuple[int, list[int], np.ndarray]]] = []
+        for u in index.units:
+            self.chain.append(np.searchsorted(u.hubs, [u.vertices[b] for b in u.b_local[::-1]]).tolist())
+            o_ids = [index.o_loc[g] for g in u.hubs.tolist()]
+            by_rank = sorted(range(len(o_ids)), key=lambda c: int(td_o.rank[o_ids[c]]))
+            self.steps.append([
+                (c, np.searchsorted(u.hubs, ov[td_o.neigh[o_ids[c]]]).tolist(), td_o.sc[o_ids[c]])
+                for c in by_rank
+            ])
+
+    def up(self, v: int) -> tuple[int, int, list[float], list[float]]:
+        """(partition, local id, partition-tree upward distances by depth,
+        upward distances to the partition's hubs) of v."""
+        ix = self.index
+        i = int(ix.part.pid[v])
+        u = ix.units[i]
+        l = u.loc[v]
+        dist = self.trees[i].up(l, self.stop[i])
+        hv = [INF] * len(u.hubs)
+        for c, x in zip(self.chain[i], dist[: u.b_anc[l]]):
+            hv[c] = x
+        for c, cols, w in self.steps[i]:
+            x = hv[c]
+            if x < INF:
+                for p, wp in zip(cols, w.tolist()):
+                    cand = x + wp
+                    if cand < hv[p]:
+                        hv[p] = cand
+        return i, l, dist, hv
+
+    def meet(self, s: int, us: tuple, t: int, ut: tuple) -> float:
+        """min of ``ds + dt`` over the common hubs (``hub_joins``) and, in
+        one partition, over the common non-boundary tree ancestors."""
+        i, ls, ds, hs = us
+        j, lt, dt, ht = ut
+        i1, i2 = self.index.hub_joins[i][j]
+        best = joined_min(np.array(hs), i1, np.array(ht), i2)
+        if i == j:
+            u = self.index.units[i]
+            if u.td.root_of[ls] == u.td.root_of[lt]:
+                a = u.td.lca(ls, lt)
+                lo, hi = int(u.b_anc[a]), int(u.td.depth[a]) + 1
+                if lo < hi:
+                    best = min(best, min(map(add, ds[lo:hi], dt[lo:hi])))
+        return best
 
 
 @dataclass
@@ -285,15 +362,17 @@ class PMHLIndex:
             u.res_ov = [(self.o_loc[u.vertices[a]], self.o_loc[u.vertices[b]]) for a, b in residual]
             t_parts2[u.pid] = time.perf_counter() - t0
 
+        # Hub layout, which the PCH schedule and every Lemma-2 stage read.
+        t0 = time.perf_counter()
+        self._build_hub_joins()
+        self.pch = UnionCH(self)
+        bt["boundary_hubs"] = time.perf_counter() - t0
+
         if self.level == "shortcut":
             return
 
-        # Hub layout, and each partition's H_i: B_i's overlay labels.
-        t0 = time.perf_counter()
-        self._build_hub_joins()
-        bt["boundary_hubs"] = time.perf_counter() - t0
-
-        # Steps 4+5: post-boundary indexes L'_i (boundary-pair bases = D).
+        # Steps 4+5: post-boundary indexes L'_i (boundary-pair bases = D),
+        # and each partition's H_i: B_i's overlay labels.
         t_post = bt["post"] = {}
         for u in self.units:
             t0 = time.perf_counter()
@@ -330,7 +409,7 @@ class PMHLIndex:
         ov = np.asarray(self.ov_vertices, dtype=np.int64)
         for u in self.units:
             anc = [ov[self.td_o.ancestors(o)] for o in u.b_ov]
-            u.hubs = np.unique(np.concatenate(anc))
+            u.hubs = np.unique(np.concatenate([ov[:0], *anc]))
             u.bcols = [np.searchsorted(u.hubs, h) for h in anc]
         self.hub_joins = [
             [np.intersect1d(ui.hubs, uj.hubs, assume_unique=True, return_indices=True)[1:] for uj in self.units]
@@ -359,29 +438,12 @@ class PMHLIndex:
     # ------------------------------------------------------------------
     # queries (stages 1..5)
     # ------------------------------------------------------------------
-    def _pch_rows(self, v: int):
-        """Upward shortcut rows of the union CH (partition ∪ overlay)."""
-        i = int(self.part.pid[v])
-        u = self.units[i]
-        l = u.loc[v]
-        out: dict[int, float] = {}
-        for x, w in zip(u.td.neigh[l], u.td.sc[l]):
-            g = u.vertices[x]
-            if w < out.get(g, INF):
-                out[g] = float(w)
-        if l in u.b_set:
-            o = self.o_loc[v]
-            for x, w in zip(self.td_o.neigh[o], self.td_o.sc[o]):
-                g = self.ov_vertices[x]
-                if w < out.get(g, INF):
-                    out[g] = float(w)
-        return out.items()
-
     def query_bidij(self, s: int, t: int) -> float:
         return bidijkstra(self.graph, s, t)
 
     def query_pch(self, s: int, t: int) -> float:
-        return ch_query_rows(self._pch_rows, s, t)
+        """Q-Stage 2: the union CH of the partition and overlay trees."""
+        return ch_query_rows(self.pch, s, t)
 
     def _hub_row(self, u: PartitionUnit, l: int, dis: list) -> np.ndarray:
         """d(v, ·) over the partition's hubs through B_i, v = local ``l``

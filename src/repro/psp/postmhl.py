@@ -28,11 +28,13 @@ U4 post-boundary and U5 cross-boundary per-partition in parallel. U4 is
 change-driven: it reads only ``D_i`` (a gather, :func:`boundary_gather`)
 and the partition's shortcuts, so it runs only where one of them changed;
 U5 runs wherever U4 ran or an overlay ancestor's row changed.
-Queries per stage: BiDijkstra → CH → post-boundary → full H2H. Across
-partitions the post-boundary stage concatenates ``disB`` through the
-overlay as Lemma 2's min-plus product: ``H_i`` holds B_i's label rows
-over the root's overlay ancestors (``hub_matrix``), and partitions i and
-j share the depth prefix of them up to ``lca(root_i, root_j)``.
+Queries per stage: BiDijkstra → CH → post-boundary → full H2H. The CH
+stage is the root-path DP of Lemma 4 over the global tree (``TreeCH``),
+with no heap. Across partitions the post-boundary stage concatenates
+``disB`` through the overlay as Lemma 2's min-plus product: ``H_i`` holds
+B_i's label rows over the root's overlay ancestors (``hub_matrix``), and
+partitions i and j share the depth prefix of them up to
+``lca(root_i, root_j)``.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ import time
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.core.ch import ch_query_rows
+from repro.core.ch import TreeCH, ch_query_rows
 from repro.core.dijkstra import bidijkstra
 from repro.core.h2h import prune_to_subtree_roots
 from repro.core.treedec import TreeDec, build_labels, build_treedec, h2h_query, update_shortcuts
@@ -95,6 +97,7 @@ class PostMHLIndex:
         t0 = time.perf_counter()
         self.td = build_treedec(graph)
         self.t_tree = time.perf_counter() - t0
+        self.ch = TreeCH(self.td)
 
         t0 = time.perf_counter()
         self.tdp: TDPartitionResult = td_partition(self.td, tau, k_e, beta_l, beta_u)
@@ -182,8 +185,7 @@ class PostMHLIndex:
         return bidijkstra(self.graph, s, t)
 
     def query_pch(self, s: int, t: int) -> float:
-        td = self.td
-        return ch_query_rows(lambda v: zip(td.neigh[v], td.sc[v]), s, t)
+        return ch_query_rows(self.ch, s, t)
 
     def query_postboundary(self, s: int, t: int) -> float:
         """Q-Stage 3: post-boundary + overlay index (cross entries stale)."""

@@ -20,63 +20,13 @@ from repro.psp.pmhl import PMHLIndex
 from repro.psp.postmhl import PostMHLIndex
 from repro.psp.strategies import NCHPIndex, PTDPIndex
 from tests import concat_reference as ref
-from tests.util import pairs_for, small_case, updated_case
-
-
-def _is_boundary(idx: PMHLIndex, v: int) -> bool:
-    u = idx.units[int(idx.part.pid[v])]
-    return u.loc[v] in u.b_set
-
-
-def _pmhl_pairs(idx: PMHLIndex, rng) -> dict[str, list[tuple[int, int]]]:
-    """Pairs per class: same partition, across partitions, and either
-    kind with a boundary endpoint."""
-    n = idx.graph.n
-    bound = np.array([v for v in range(n) if _is_boundary(idx, v)])
-    inner = np.array([v for v in range(n) if not _is_boundary(idx, v)])
-    sources = [*rng.choice(inner, 4, replace=False), *rng.choice(bound, 3, replace=False)]
-    classes: dict[str, list[tuple[int, int]]] = {"same": [], "cross": [], "boundary-same": [], "boundary-cross": []}
-    for s in sources:
-        part = idx.part.parts[int(idx.part.pid[s])]
-        b_same = [v for v in part if _is_boundary(idx, v) and v != s][:3]
-        targets = [*rng.choice(n, 12, replace=False), *rng.choice(part, 6, replace=False), *b_same]
-        for t in targets:
-            if t == s:
-                continue
-            same = idx.part.pid[s] == idx.part.pid[t]
-            kind = "same" if same else "cross"
-            if _is_boundary(idx, s) or _is_boundary(idx, t):
-                kind = "boundary-" + kind
-            classes[kind].append((int(s), int(t)))
-    return classes
-
-
-def _postmhl_pairs(idx: PostMHLIndex, rng) -> dict[str, list[tuple[int, int]]]:
-    """Pairs per class: same partition, across partitions, one overlay
-    endpoint, two overlay endpoints."""
-    n = idx.graph.n
-    pid = idx.tdp.pid
-    overlay = np.flatnonzero(pid < 0)
-    inner = np.flatnonzero(pid >= 0)
-    sources = [*rng.choice(inner, 4, replace=False), *rng.choice(overlay, 3, replace=False)]
-    classes: dict[str, list[tuple[int, int]]] = {"same": [], "cross": [], "one-overlay": [], "two-overlay": []}
-    for s in sources:
-        targets = [*rng.choice(n, 12, replace=False), *rng.choice(overlay, 4, replace=False)]
-        if pid[s] >= 0:
-            targets.extend(rng.choice(idx.tdp.parts[pid[s]], 6))
-        for t in targets:
-            if t == s:
-                continue
-            ov = int(pid[s] < 0) + int(pid[t] < 0)
-            kind = ("same" if pid[s] == pid[t] else "cross", "one-overlay", "two-overlay")[ov]
-            classes[kind].append((int(s), int(t)))
-    return classes
+from tests.util import pairs_for, pmhl_pair_classes, postmhl_pair_classes, small_case, updated_case
 
 
 def _assert_stages(pm: PMHLIndex, post: PostMHLIndex, rng) -> None:
     stages = [
-        (pm, _pmhl_pairs, [(pm.query_noboundary, ref.pmhl_noboundary), (pm.query_postboundary, ref.pmhl_postboundary)]),
-        (post, _postmhl_pairs, [(post.query_postboundary, ref.postmhl_postboundary)]),
+        (pm, pmhl_pair_classes, [(pm.query_noboundary, ref.pmhl_noboundary), (pm.query_postboundary, ref.pmhl_postboundary)]),
+        (post, postmhl_pair_classes, [(post.query_postboundary, ref.postmhl_postboundary)]),
     ]
     for idx, pairs, checks in stages:
         classes = pairs(idx, rng)

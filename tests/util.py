@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from repro.graphs.generator import road_network, update_batches
 from repro.core.dijkstra import floyd_warshall
 
@@ -37,3 +39,53 @@ def pairs_for(n: int, count: int, seed: int = 0):
         if s != t:
             out.append((s, t))
     return out
+
+
+def is_boundary(idx, v: int) -> bool:
+    u = idx.units[int(idx.part.pid[v])]
+    return u.loc[v] in u.b_set
+
+
+def pmhl_pair_classes(idx, rng) -> dict[str, list[tuple[int, int]]]:
+    """Pairs per class: same partition, across partitions, and either
+    kind with a boundary endpoint."""
+    n = idx.graph.n
+    bound = np.array([v for v in range(n) if is_boundary(idx, v)])
+    inner = np.array([v for v in range(n) if not is_boundary(idx, v)])
+    sources = [*rng.choice(inner, 4, replace=False), *rng.choice(bound, 3, replace=False)]
+    classes: dict[str, list[tuple[int, int]]] = {"same": [], "cross": [], "boundary-same": [], "boundary-cross": []}
+    for s in sources:
+        part = idx.part.parts[int(idx.part.pid[s])]
+        b_same = [v for v in part if is_boundary(idx, v) and v != s][:3]
+        targets = [*rng.choice(n, 12, replace=False), *rng.choice(part, 6, replace=False), *b_same]
+        for t in targets:
+            if t == s:
+                continue
+            same = idx.part.pid[s] == idx.part.pid[t]
+            kind = "same" if same else "cross"
+            if is_boundary(idx, s) or is_boundary(idx, t):
+                kind = "boundary-" + kind
+            classes[kind].append((int(s), int(t)))
+    return classes
+
+
+def postmhl_pair_classes(idx, rng) -> dict[str, list[tuple[int, int]]]:
+    """Pairs per class: same partition, across partitions, one overlay
+    endpoint, two overlay endpoints."""
+    n = idx.graph.n
+    pid = idx.tdp.pid
+    overlay = np.flatnonzero(pid < 0)
+    inner = np.flatnonzero(pid >= 0)
+    sources = [*rng.choice(inner, 4, replace=False), *rng.choice(overlay, 3, replace=False)]
+    classes: dict[str, list[tuple[int, int]]] = {"same": [], "cross": [], "one-overlay": [], "two-overlay": []}
+    for s in sources:
+        targets = [*rng.choice(n, 12, replace=False), *rng.choice(overlay, 4, replace=False)]
+        if pid[s] >= 0:
+            targets.extend(rng.choice(idx.tdp.parts[pid[s]], 6))
+        for t in targets:
+            if t == s:
+                continue
+            ov = int(pid[s] < 0) + int(pid[t] < 0)
+            kind = ("same" if pid[s] == pid[t] else "cross", "one-overlay", "two-overlay")[ov]
+            classes[kind].append((int(s), int(t)))
+    return classes
