@@ -29,15 +29,13 @@ INF = math.inf
 
 
 class TreeCH:
-    """A tree decomposition read as a CH: its shape as Python lists
-    (fixed, as the tree never changes shape: parents, depths and each
-    row's neighbour depths ``pos``) and its live shortcut rows ``td.sc``,
-    which maintenance updates in place."""
+    """A tree decomposition read as a CH: its shape (fixed, as the tree
+    never changes shape: ``td``'s parents and depths, and each row's
+    neighbour depths ``pos`` as Python lists) and its live shortcut rows
+    ``td.sc``, which maintenance updates in place."""
 
     def __init__(self, td: TreeDec):
         self.td = td
-        self.parent = td.parent.tolist()
-        self.depth = td.depth.tolist()
         self.pos = [p.tolist() for p in td.pos]
 
     def up(self, v: int, stop: list[bool] | None = None) -> list[float]:
@@ -46,8 +44,8 @@ class TreeCH:
         there is none). The root-path DP walks v's ancestors deepest
         first, up to the root or to the first one marked in ``stop``,
         whose row it does not relax."""
-        parent, pos, sc = self.parent, self.pos, self.td.sc
-        d = self.depth[v]
+        parent, pos, sc = self.td.parent, self.pos, self.td.sc
+        d = self.td.depth[v]
         dist = [INF] * (d + 1)
         dist[d] = 0.0
         x = v
@@ -67,7 +65,7 @@ class TreeCH:
         td = self.td
         if td.root_of[s] != td.root_of[t]:
             return INF
-        p = self.depth[td.lca(s, t)] + 1
+        p = td.depth[td.lca(s, t)] + 1
         return min(map(add, ds[:p], dt[:p]))
 
 

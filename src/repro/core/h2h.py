@@ -28,14 +28,14 @@ from repro.core.ch import TreeCH, ch_query_rows
 def prune_to_subtree_roots(td, affected: set[int]) -> list[int]:
     """Keep only the highest affected nodes (drop descendants of others)."""
     roots = []
-    for v in sorted(affected, key=lambda x: int(td.depth[x])):
-        u = int(td.parent[v])
+    for v in sorted(affected, key=lambda x: td.depth[x]):
+        u = td.parent[v]
         keep = True
         while u != -1:
             if u in affected:
                 keep = False
                 break
-            u = int(td.parent[u])
+            u = td.parent[u]
         if keep:
             roots.append(v)
     return roots

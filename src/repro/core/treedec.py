@@ -24,11 +24,20 @@ This is the shared engine behind every index in the paper:
 Key structural invariant used throughout: ``X(v).N`` is a subset of
 ``v``'s tree ancestors, so a neighbor's *position in the ancestor array*
 equals its tree depth.
+
+Every query stage that meets two tree paths needs their LCA (H2H's O(w)
+query assumes an O(1) one). ``TreeDec.lca`` is an Euler tour of the
+forest plus a sparse-table range-minimum query (Bender & Farach-Colton,
+"The LCA Problem Revisited", LATIN 2000): one min of two table entries.
+The tree never changes shape, so ``_treedec`` builds the tables once, as
+``array('i')`` like the parents, depths and components a query reads
+with them, and ``share_shape`` shares them.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -69,14 +78,19 @@ class TreeDec:
     neigh: list[list[int]]
     sc: list[np.ndarray]
     nidx: list[dict[int, int]]
-    parent: np.ndarray
+    parent: array
     children: list[list[int]]
-    depth: np.ndarray
+    depth: array
     pos: list[np.ndarray]
     qpos: list[np.ndarray]
     roots: list[int]
-    root_of: np.ndarray
-    _up: np.ndarray | None = None  # binary-lifting table, built lazily
+    root_of: array
+    # O(1) LCA: each vertex's first index in the Euler tour, its preorder
+    # number → vertex, and the tour's sparse table (level k, index i: the
+    # shallowest vertex of tour[i : i + 2^k], as its preorder number).
+    tour_first: array
+    preorder: array
+    tour_rmq: list[array]
     # Flat shortcut storage: sc[v] are views into `flat`; `flat_off[v]`
     # is v's row offset.
     flat: np.ndarray | None = None
@@ -94,49 +108,29 @@ class TreeDec:
     # ------------------------------------------------------------------
     # LCA
     # ------------------------------------------------------------------
-    def _lifting(self) -> np.ndarray:
-        if self._up is None:
-            maxd = int(self.depth.max(initial=0))
-            levels = max(1, maxd.bit_length())
-            up = np.full((levels, self.n), -1, dtype=np.int64)
-            up[0] = self.parent
-            for k in range(1, levels):
-                prev = up[k - 1]
-                valid = prev >= 0
-                up[k, valid] = prev[prev[valid]]
-            self._up = up
-        return self._up
-
     def lca(self, a: int, b: int) -> int:
-        up = self._lifting()
-        da, db = int(self.depth[a]), int(self.depth[b])
-        if da < db:
-            a, b, da, db = b, a, db, da
-        diff = da - db
-        k = 0
-        while diff:
-            if diff & 1:
-                a = int(up[k, a])
-            diff >>= 1
-            k += 1
-        if a == b:
-            return a
-        for k in range(up.shape[0] - 1, -1, -1):
-            if up[k, a] != up[k, b]:
-                a, b = int(up[k, a]), int(up[k, b])
-        return int(self.parent[a])
+        """Lowest common ancestor of a and b, which must share a tree
+        (``root_of``): the shallowest vertex of the Euler tour between
+        their first visits, one range minimum of the sparse table."""
+        i, j = self.tour_first[a], self.tour_first[b]
+        if i > j:
+            i, j = j, i
+        k = (j - i + 1).bit_length() - 1
+        row = self.tour_rmq[k]
+        x, y = row[i], row[j + 1 - (1 << k)]
+        return self.preorder[x if x < y else y]
 
     def ancestors(self, v: int) -> list[int]:
         """Root-to-v path (the ancestor array X(v).A, v included last)."""
-        path = []
+        parent, path = self.parent, []
         u = v
         while u != -1:
             path.append(u)
-            u = int(self.parent[u])
+            u = parent[u]
         return path[::-1]
 
     def tree_height(self) -> int:
-        return int(self.depth.max(initial=0)) + 1
+        return max(self.depth, default=0) + 1
 
     def treewidth(self) -> int:
         return max((len(nb) for nb in self.neigh), default=0) + 1
@@ -250,9 +244,8 @@ def build_treedec(graph: Graph, *, fixed_order: list[int] | None = None) -> Tree
 def share_shape(td: TreeDec) -> TreeDec:
     """A TreeDec with ``td``'s shape and its own weights: every
     structural array (order, rows, depths, positions, support tables and
-    the LCA lifting table) is ``td``'s object; ``flat``, its ``sc`` views
-    and ``base`` are copies."""
-    td._lifting()
+    the LCA tables) is ``td``'s object; ``flat``, its ``sc`` views and
+    ``base`` are copies."""
     flat = td.flat.copy()
     sc = [flat[a:b] for a, b in zip(td.flat_off[:-1], td.flat_off[1:])]
     return replace(td, flat=flat, sc=sc, base=td.base.copy())
@@ -287,7 +280,7 @@ def _treedec(e: Elimination) -> TreeDec:
     flat = np.array([w for r in rows for w in r], dtype=np.float64)
     sc_arr: list[np.ndarray] = [flat[flat_off[v] : flat_off[v + 1]] for v in range(n)]
 
-    parent = np.full(n, -1, dtype=np.int64)
+    parent = [-1] * n
     children: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
         if neigh[v]:
@@ -296,23 +289,36 @@ def _treedec(e: Elimination) -> TreeDec:
             children[p].append(v)
     roots = [v for v in range(n) if parent[v] == -1]
 
-    depth = np.zeros(n, dtype=np.int64)
-    root_of = np.empty(n, dtype=np.int64)
+    # One DFS gives depths, components, the preorder and the Euler tour
+    # (each vertex, then a return to it after each child; ``~v`` on the
+    # stack is the return to v). Tour entries are preorder numbers.
+    depth = [0] * n
+    root_of = [0] * n
+    tin = [0] * n
+    first = [0] * n
+    preorder: list[int] = []
+    tour: list[int] = []
     stack = list(roots)
-    topo: list[int] = []
     for r in roots:
         root_of[r] = r
     while stack:
         v = stack.pop()
-        topo.append(v)
+        if v < 0:
+            tour.append(tin[~v])
+            continue
+        first[v] = len(tour)
+        tin[v] = len(preorder)
+        tour.append(tin[v])
+        preorder.append(v)
         for c in children[v]:
             depth[c] = depth[v] + 1
             root_of[c] = root_of[v]
+            stack.append(~v)
             stack.append(c)
 
     pos: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
     qpos: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
-    for v in topo:
+    for v in preorder:
         p = np.array([depth[u] for u in neigh[v]], dtype=np.int64)
         pos[v] = p
         qpos[v] = np.append(p, depth[v])
@@ -324,13 +330,31 @@ def _treedec(e: Elimination) -> TreeDec:
     )
     td = TreeDec(
         n=n, order=order, rank=rank, neigh=neigh, sc=sc_arr, nidx=nidx,
-        parent=parent, children=children, depth=depth, pos=pos, qpos=qpos,
-        roots=roots, root_of=root_of,
+        parent=array("i", parent), children=children, depth=array("i", depth),
+        pos=pos, qpos=qpos, roots=roots, root_of=array("i", root_of),
+        tour_first=array("i", first), preorder=array("i", preorder),
+        tour_rmq=_sparse_table(tour),
         flat=flat, flat_off=flat_off, own=own, nbr=nbr, base=base,
-        pdepth=depth[own].astype(np.int32),
+        pdepth=np.array(depth, dtype=np.int32)[own],
     )
     _support_tables(td)
     return td
+
+
+def _sparse_table(tour: list[int]) -> list[array]:
+    """Range-minimum table of ``tour`` (Bender & Farach-Colton): level k
+    holds the minimum of every span of 2^k entries, ``min(level[k-1][i],
+    level[k-1][i + 2^(k-1)])``. Over the Euler tour of preorder numbers,
+    the minimum between two first visits is their LCA: every vertex
+    visited there lies in its subtree, and it precedes them in preorder."""
+    level = np.array(tour, dtype=np.int32)
+    levels = [level]
+    half = 1
+    while 2 * half <= len(tour):
+        level = np.minimum(level[:-half], level[half:])
+        levels.append(level)
+        half *= 2
+    return [array("i", lv.tobytes()) for lv in levels]
 
 
 def _support_tables(td: TreeDec) -> None:
@@ -550,14 +574,14 @@ def build_labels(
         # Seed M with r's strict ancestors' existing arrays (at depth ≥
         # col0: shallower rows only feed columns outside the window).
         for a in td.ancestors(r)[col0:-1]:
-            d = int(td.depth[a])
+            d = td.depth[a]
             M[d, : d + 1] = M[: d + 1, d] = dis[a]
         stack = [r]
         while stack:
             v = stack.pop()
             if active is not None and v not in active:
                 continue
-            d = int(td.depth[v])
+            d = td.depth[v]
             row = dis[v].copy() if col0 else np.empty(d + 1, dtype=np.float64)
             # a tree root has no neighbours: its row is [0]
             row[col0:d] = (M[td.pos[v], col0:d] + td.sc[v][:, None]).min(axis=0, initial=INF)
@@ -569,7 +593,9 @@ def build_labels(
 
 
 def h2h_query(td: TreeDec, dis: list[np.ndarray], s: int, t: int) -> float:
-    """H2H distance query: min over the LCA separator positions."""
+    """H2H distance query: min over the LCA separator positions. The
+    separator is tens of entries, where Python's ``min`` of the list
+    beats a NumPy reduction."""
     if s == t:
         return 0.0
     if td.root_of[s] != td.root_of[t]:
@@ -580,4 +606,4 @@ def h2h_query(td: TreeDec, dis: list[np.ndarray], s: int, t: int) -> float:
     if a == t:
         return float(dis[s][td.depth[t]])
     idx = td.qpos[a]
-    return float((dis[s][idx] + dis[t][idx]).min())
+    return min((dis[s][idx] + dis[t][idx]).tolist())

@@ -60,13 +60,13 @@ def td_partition(
     roots: list[int] = []
     root_set: set[int] = set()
     for v in candidates:
-        u = int(td.parent[v])
+        u = td.parent[v]
         blocked = False
         while u != -1:
             if u in root_set:
                 blocked = True
                 break
-            u = int(td.parent[u])
+            u = td.parent[u]
         if not blocked:
             roots.append(v)
             root_set.add(v)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import add
@@ -118,7 +119,7 @@ def disB_plan(td: TreeDec, row: dict[int, int], boundary: list[int]) -> tuple:
     by_depth: dict[int, list[int]] = {}
     for v in row:
         if v not in bset and td.neigh[v]:
-            by_depth.setdefault(int(td.depth[v]), []).append(v)
+            by_depth.setdefault(td.depth[v], []).append(v)
     steps = []
     for d in sorted(by_depth):
         vs = by_depth[d]
@@ -225,7 +226,7 @@ class UnionCH:
             u = self.index.units[i]
             if u.td.root_of[ls] == u.td.root_of[lt]:
                 a = u.td.lca(ls, lt)
-                lo, hi = int(u.b_anc[a]), int(u.td.depth[a]) + 1
+                lo, hi = u.b_anc[a], u.td.depth[a] + 1
                 if lo < hi:
                     best = min(best, min(map(add, ds[lo:hi], dt[lo:hi])))
         return best
@@ -240,7 +241,7 @@ class PartitionUnit:
     vertices: list[int]
     loc: dict[int, int]
     b_local: list[int] = field(default_factory=list)   # boundary, overlay-rank order
-    b_anc: np.ndarray | None = None                    # per vertex: B_i's vertices on its root path
+    b_anc: array | None = None                         # per vertex: B_i's vertices on its root path
     b_ov: list[int] = field(default_factory=list)      # boundary, overlay ids
     b_set: set[int] = field(default_factory=set)       # local boundary set
     b_mask: np.ndarray | None = None                   # local boundary, bool per vertex
@@ -345,17 +346,17 @@ class PMHLIndex:
             u.td = finish_boundary_first(elim, b_sorted)
             # The Lemma-2 stages read d(v, B_i) from v's label row: B_i
             # must be the top chain of the tree, b_local deepest first.
-            bdep = u.td.depth[b_sorted]
-            if not np.array_equal(bdep, np.arange(len(b_sorted))[::-1]):
-                raise AssertionError(f"partition {u.pid}: boundary depths {bdep.tolist()} are not |B|-1, ..., 0")
-            depth, parent = u.td.depth.tolist(), u.td.parent.tolist()
+            depth, parent = u.td.depth, u.td.parent
+            bdep = [depth[b] for b in b_sorted]
+            if bdep != list(range(len(b_sorted) - 1, -1, -1)):
+                raise AssertionError(f"partition {u.pid}: boundary depths {bdep} are not |B|-1, ..., 0")
             b_anc = [0] * len(u.vertices)
             for v in reversed(u.td.order):  # parents first
                 if v in u.b_set:
                     b_anc[v] = depth[v] + 1
                 elif parent[v] >= 0:
                     b_anc[v] = b_anc[parent[v]]
-            u.b_anc = np.array(b_anc, dtype=np.int64)
+            u.b_anc = array("i", b_anc)
             u.dis = build_labels(u.td) if self.level != "shortcut" else None
             u.res_pos = np.array([position(u.td, a, b) for a, b in residual], dtype=np.int64)
             u.res_w = np.array(list(residual.values()), dtype=np.float64)
@@ -453,7 +454,7 @@ class PMHLIndex:
         ``b_anc[l]`` depths of both partition trees, the last rows of
         ``H``: the vector is ``min_d dis[l][d] + H[|B| - 1 - d]``."""
         if l in u.b_set:
-            return u.H[len(u.b_local) - 1 - int(u.td.depth[l])]
+            return u.H[len(u.b_local) - 1 - u.td.depth[l]]
         k = u.b_anc[l]
         return (dis[l][:k, None] + u.H[::-1][:k]).min(axis=0, initial=INF)
 

@@ -75,7 +75,7 @@ def hub_matrix(td: TreeDec, dis: list, root: int) -> np.ndarray:
     depth h, which is b_a's ancestor for every h ≤ depth(b_a): B_i's
     overlay labels over the hubs they share (Lemma 2)."""
     bs = td.neigh[root]
-    H = np.full((len(bs), int(td.depth[root])), INF, dtype=np.float64)
+    H = np.full((len(bs), td.depth[root]), INF, dtype=np.float64)
     for a, b in enumerate(bs):
         H[a, : len(dis[b])] = dis[b]
     return H
@@ -104,7 +104,7 @@ class PostMHLIndex:
         self.t_partition = time.perf_counter() - t0
 
         self.k = self.tdp.k
-        self.novl = [int(self.td.depth[r]) for r in self.tdp.roots]
+        self.novl = [self.td.depth[r] for r in self.tdp.roots]
         self.ov_anc = [self.td.ancestors(r)[:-1] for r in self.tdp.roots]  # overlay ancestors
         # Partition vertices. Dirt from partition i's edges only reaches
         # i's subtree and overlay ancestors, so this one mask restricts
@@ -168,7 +168,7 @@ class PostMHLIndex:
         bdepth = td.pos[root]  # depths of B_i = X(root).N
         for v, b in zip(self.tdp.parts[i], B[len(bdepth):]):
             self.disB[v] = b
-            row = np.full(int(td.depth[v]) + 1, INF, dtype=np.float64)
+            row = np.full(td.depth[v] + 1, INF, dtype=np.float64)
             row[bdepth] = b
             self.dis[v] = row
         build_labels(td, roots=[root], dis=self.dis, col0=self.novl[i])
@@ -219,7 +219,7 @@ class PostMHLIndex:
             # overlay ↔ partition j: s's label row is its hub vector, over
             # the ancestors s shares with root_j
             r = self.tdp.roots[j]
-            p = int(td.depth[td.lca(s, r)]) + 1 if td.root_of[s] == td.root_of[r] else 0
+            p = td.depth[td.lca(s, r)] + 1 if td.root_of[s] == td.root_of[r] else 0
             return float((self.dis[s][:p] + self._hub_vector(t, j, p)).min(initial=INF))
         p = self.hub_prefix[i, j]
         return float((self._hub_vector(s, i, p) + self._hub_vector(t, j, p)).min(initial=INF))

@@ -231,7 +231,7 @@ def _assert_shares_shape(post, td):
     weights of its own."""
     for name in SHAPE:
         assert getattr(post, name) is getattr(td, name), name
-    assert post._up is not None
+    assert len(post.tour_first) == len(post.preorder) == post.n and post.tour_rmq
     assert post.flat is not td.flat and post.base is not td.base
     assert all(row.base is post.flat for row in post.sc)
 

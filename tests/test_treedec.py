@@ -22,9 +22,11 @@ from repro.core.treedec import (
     support_min,
     update_shortcuts,
 )
-from repro.graphs.generator import road_network, update_batches
+from repro.graphs.generator import DATASETS, road_network, update_batches
 from repro.graphs.graph import Graph
 from repro.partition.partitioner import partition_graph
+from repro.psp.pmhl import PMHLIndex
+from repro.psp.postmhl import PostMHLIndex
 from tests.label_reference import reference_labels
 from tests.shortcut_reference import contributors, recompute, reference_update
 from tests.test_random_graphs import CASES, random_connected
@@ -100,6 +102,79 @@ def test_lca(td_case):
             anc_a, anc_b = td.ancestors(a), td.ancestors(b)
             common = [x for x, y in zip(anc_a, anc_b) if x == y]
             assert l == common[-1]
+
+
+def _walk_lca(td, a, b):
+    """LCA by walking parents up to equal depth, then both together; None
+    if a and b lie in different trees."""
+    parent, depth = td.parent, td.depth
+    while depth[a] > depth[b]:
+        a = parent[a]
+    while depth[b] > depth[a]:
+        b = parent[b]
+    while a != b:
+        a, b = parent[a], parent[b]
+    return None if a == -1 else a
+
+
+def _assert_lca_pairs(td, pairs):
+    """``lca`` equals the parent walk on every pair of one tree; a pair
+    across trees is told apart by ``root_of`` (the check every caller
+    makes before asking for an LCA)."""
+    kinds = {"self": 0, "ancestor": 0, "branch": 0, "cross": 0}
+    for a, b in pairs:
+        want = _walk_lca(td, a, b)
+        if want is None:
+            assert td.root_of[a] != td.root_of[b], (a, b)
+            kinds["cross"] += 1
+            continue
+        assert td.root_of[a] == td.root_of[b], (a, b)
+        assert td.lca(a, b) == want, (a, b)
+        kinds["self" if a == b else "ancestor" if want in (a, b) else "branch"] += 1
+    return kinds
+
+
+def _forest():
+    """Five components (one an isolated vertex) in one graph; building it
+    gives a forest of five trees."""
+    g = Graph(43)
+    off = 0
+    for k, size in enumerate([12, 7, 1, 20, 3]):
+        part = random_connected(size, size // 3, seed=k) if size > 1 else Graph(1)
+        for u, v, w in part.edges():
+            g.add_edge(off + u, off + v, w)
+        off += size
+    return g
+
+
+def test_lca_equals_parent_walk_on_a_forest():
+    """Every pair of a five-tree forest: self pairs, ancestor pairs,
+    branching pairs and pairs across trees, which ``h2h_query`` answers
+    INF through the ``root_of`` check."""
+    g = _forest()
+    td = build_treedec(g)
+    assert len(td.roots) == 5
+    kinds = _assert_lca_pairs(td, [(a, b) for a in range(g.n) for b in range(g.n)])
+    assert min(kinds.values()) > 0, kinds
+    dis = build_labels(td)
+    for a in range(g.n):
+        for b in range(g.n):
+            if td.root_of[a] != td.root_of[b]:
+                assert h2h_query(td, dis, a, b) == math.inf
+
+
+def test_lca_equals_parent_walk_on_fla_trees():
+    """10k random pairs of FLA's PostMHL tree, PMHL's overlay tree and
+    every PMHL partition and post-boundary tree."""
+    spec = DATASETS["FLA"]
+    g, coords = spec.build()
+    pm = PMHLIndex(g.copy(), spec.k, coords)
+    post = PostMHLIndex(g.copy(), tau=spec.tau, k_e=spec.k_e)
+    trees = [post.td, pm.td_o] + [t for u in pm.units for t in (u.td, u.td_post)]
+    rng = np.random.default_rng(16)
+    for td in trees:
+        kinds = _assert_lca_pairs(td, rng.integers(0, td.n, (10_000, 2)).tolist())
+        assert kinds["ancestor"] and kinds["branch"], kinds
 
 
 def test_lemma4_fixed_order_reproduces_mde(td_case):
