@@ -17,9 +17,11 @@ This is the shared engine behind every index in the paper:
   ``contract_nonboundary`` contracts only the non-boundary vertices; the
   weights left between boundary vertices are the overlay graph's
   boundary shortcuts (Theorem 2). ``finish_boundary_first`` resumes
-  that state: it joins the boundary into one clique (INF where no edge
-  is left) and contracts it in the overlay order, so each partition is
-  contracted once. The post-boundary tree is ``share_shape`` of it.
+  that state: it joins each partition's boundary into one clique (INF
+  where no edge is left) and contracts it in the overlay order, so the
+  graph is contracted once. Over a graph of intra-partition edges only,
+  that is one forest holding every partition tree. The post-boundary
+  forest is ``share_shape`` of it.
 
 Key structural invariant used throughout: ``X(v).N`` is a subset of
 ``v``'s tree ancestors, so a neighbor's *position in the ancestor array*
@@ -91,6 +93,7 @@ class TreeDec:
     tour_first: array
     preorder: array
     tour_rmq: list[array]
+    height: int  # levels of the tallest tree: the label DP's matrix side
     # Flat shortcut storage: sc[v] are views into `flat`; `flat_off[v]`
     # is v's row offset.
     flat: np.ndarray | None = None
@@ -128,9 +131,6 @@ class TreeDec:
             path.append(u)
             u = parent[u]
         return path[::-1]
-
-    def tree_height(self) -> int:
-        return max(self.depth, default=0) + 1
 
     def treewidth(self) -> int:
         return max((len(nb) for nb in self.neigh), default=0) + 1
@@ -212,10 +212,12 @@ def boundary_residual(graph: Graph, boundary_mask: np.ndarray) -> tuple[list[int
     return e.order, e.residual()
 
 
-def finish_boundary_first(e: Elimination, b_order: list[int]) -> TreeDec:
+def finish_boundary_first(e: Elimination, b_orders: list[list[int]]) -> TreeDec:
     """PMHL phase B, resumed from phase A's state ``e``: join every pair
-    of ``b_order`` that has no edge left by an INF-weight edge, then
-    contract ``b_order`` and build the boundary-first tree.
+    of each order in ``b_orders`` that has no edge left by an INF-weight
+    edge, then contract the orders one after another and build the
+    boundary-first tree (a forest when ``e`` holds several partitions:
+    no clique joins two orders, so their trees stay apart).
 
     With every boundary pair a shortcut, the tree has the shape that the
     extended partition G'_i (every boundary pair an edge) has under the
@@ -223,11 +225,12 @@ def finish_boundary_first(e: Elimination, b_order: list[int]) -> TreeDec:
     contraction leaves unjoined gets base and shortcut INF, so no
     distance changes.
     """
-    for i, a in enumerate(b_order):
-        for b in b_order[i + 1 :]:
-            if b not in e.W[a]:
-                e.W[a][b] = e.W[b][a] = INF
-    return _treedec(_eliminate(e, order=b_order))
+    for b_order in b_orders:
+        for i, a in enumerate(b_order):
+            for b in b_order[i + 1 :]:
+                if b not in e.W[a]:
+                    e.W[a][b] = e.W[b][a] = INF
+    return _treedec(_eliminate(e, order=[b for b_order in b_orders for b in b_order]))
 
 
 def build_treedec(graph: Graph, *, fixed_order: list[int] | None = None) -> TreeDec:
@@ -333,7 +336,7 @@ def _treedec(e: Elimination) -> TreeDec:
         parent=array("i", parent), children=children, depth=array("i", depth),
         pos=pos, qpos=qpos, roots=roots, root_of=array("i", root_of),
         tour_first=array("i", first), preorder=array("i", preorder),
-        tour_rmq=_sparse_table(tour),
+        tour_rmq=_sparse_table(tour), height=max(depth, default=0) + 1,
         flat=flat, flat_off=flat_off, own=own, nbr=nbr, base=base,
         pdepth=np.array(depth, dtype=np.int32)[own],
     )
@@ -566,7 +569,7 @@ def build_labels(
     """
     if dis is None:
         dis = [None] * td.n
-    h = td.tree_height()
+    h = td.height
     M = np.full((h, h), INF, dtype=np.float64)
     start = roots if roots is not None else td.roots
 

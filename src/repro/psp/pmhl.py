@@ -19,6 +19,11 @@ The index aggregates, per partition G_i with boundary B_i:
   one dense matrix: a boundary vertex's row is its overlay label ``H_i``
   row, every other row is the min-plus product ``disB_i ⊗ H_i``.
 
+The trees ``T_i`` are the components of one forest over global vertex
+ids (``td``, ``dis``): one contraction of the intra-partition edges, in
+which no edge joins two partitions. ``L'_i`` is ``share_shape`` of it
+(``td_post``, ``dis_post``). No state holds a partition-local id.
+
 Query stages (fastest *available* index answers):
   1 BiDijkstra → 2 PCH → 3 no-boundary → 4 post-boundary → 5 cross-boundary
 PCH reads only the shortcut arrays: it walks the partition tree and then
@@ -31,7 +36,8 @@ kept per partition and refreshed in U3; U4's ``D_i = H_i ⊗ H_iᵀ`` and
 U5's ``L*`` read it too.
 Update stages U1–U5 mirror §V-D; ``apply_batch`` returns per-task
 durations so stage wall-clock under p workers is an LPT schedule
-(DESIGN.md §2). Maintenance hands ``(u, v, w)`` changes to
+(DESIGN.md §2): U2–U4 run one call per touched partition on the
+forests, each timed apart. Maintenance hands ``(u, v, w)`` changes to
 ``update_shortcuts``, which writes them into the trees' ``base``: the
 partition and overlay graphs are locals of ``build``, and no index
 state holds a graph copy.
@@ -182,12 +188,12 @@ class UnionCH:
         self.index = index
         td_o = index.td_o
         ov = np.asarray(index.ov_vertices, dtype=np.int64)
-        self.trees = [TreeCH(u.td) for u in index.units]
-        self.stop = [u.b_mask.tolist() for u in index.units]
+        self.tree = TreeCH(index.td)
+        self.stop = index.b_mask.tolist()
         self.chain: list[list[int]] = []  # hub column of B_i's vertex at each depth
         self.steps: list[list[tuple[int, list[int], np.ndarray]]] = []
         for u in index.units:
-            self.chain.append(np.searchsorted(u.hubs, [u.vertices[b] for b in u.b_local[::-1]]).tolist())
+            self.chain.append(np.searchsorted(u.hubs, u.b_local[::-1]).tolist())
             o_ids = [index.o_loc[g] for g in u.hubs.tolist()]
             by_rank = sorted(range(len(o_ids)), key=lambda c: int(td_o.rank[o_ids[c]]))
             self.steps.append([
@@ -195,16 +201,14 @@ class UnionCH:
                 for c in by_rank
             ])
 
-    def up(self, v: int) -> tuple[int, int, list[float], list[float]]:
-        """(partition, local id, partition-tree upward distances by depth,
-        upward distances to the partition's hubs) of v."""
+    def up(self, v: int) -> tuple[int, list[float], list[float]]:
+        """(partition, partition-tree upward distances by depth, upward
+        distances to the partition's hubs) of v."""
         ix = self.index
-        i = int(ix.part.pid[v])
-        u = ix.units[i]
-        l = u.loc[v]
-        dist = self.trees[i].up(l, self.stop[i])
-        hv = [INF] * len(u.hubs)
-        for c, x in zip(self.chain[i], dist[: u.b_anc[l]]):
+        i = ix.pid[v]
+        dist = self.tree.up(v, self.stop)
+        hv = [INF] * len(ix.units[i].hubs)
+        for c, x in zip(self.chain[i], dist[: ix.b_anc[v]]):
             hv[c] = x
         for c, cols, w in self.steps[i]:
             x = hv[c]
@@ -213,58 +217,50 @@ class UnionCH:
                     cand = x + wp
                     if cand < hv[p]:
                         hv[p] = cand
-        return i, l, dist, hv
+        return i, dist, hv
 
     def meet(self, s: int, us: tuple, t: int, ut: tuple) -> float:
         """min of ``ds + dt`` over the common hubs (``hub_joins``) and, in
-        one partition, over the common non-boundary tree ancestors."""
-        i, ls, ds, hs = us
-        j, lt, dt, ht = ut
-        i1, i2 = self.index.hub_joins[i][j]
+        one partition tree, over the common non-boundary tree ancestors."""
+        ix = self.index
+        i, ds, hs = us
+        j, dt, ht = ut
+        i1, i2 = ix.hub_joins[i][j]
         best = joined_min(np.array(hs), i1, np.array(ht), i2)
-        if i == j:
-            u = self.index.units[i]
-            if u.td.root_of[ls] == u.td.root_of[lt]:
-                a = u.td.lca(ls, lt)
-                lo, hi = u.b_anc[a], u.td.depth[a] + 1
-                if lo < hi:
-                    best = min(best, min(map(add, ds[lo:hi], dt[lo:hi])))
+        td = ix.td
+        if td.root_of[s] == td.root_of[t]:
+            a = td.lca(s, t)
+            lo, hi = ix.b_anc[a], td.depth[a] + 1
+            if lo < hi:
+                best = min(best, min(map(add, ds[lo:hi], dt[lo:hi])))
         return best
 
 
 @dataclass
 class PartitionUnit:
-    """All per-partition state of PMHL: trees, labels and matrices, no
-    graph (each tree's ``base`` holds its current edge weights)."""
+    """The per-partition state of PMHL: boundary, residuals and matrices,
+    all over global vertex ids. The partition's trees and labels are
+    components of the index's forests."""
 
     pid: int
     vertices: list[int]
-    loc: dict[int, int]
     b_local: list[int] = field(default_factory=list)   # boundary, overlay-rank order
-    b_anc: array | None = None                         # per vertex: B_i's vertices on its root path
     b_ov: list[int] = field(default_factory=list)      # boundary, overlay ids
-    b_set: set[int] = field(default_factory=set)       # local boundary set
-    b_mask: np.ndarray | None = None                   # local boundary, bool per vertex
-    td: TreeDec | None = None                          # no-boundary tree of G_i
-    dis: list | None = None
+    b_set: set[int] = field(default_factory=set)       # boundary set
     # Theorem-2 residual boundary pairs: their ``td.flat`` positions,
     # residual values (the overlay tree's base weights of these edges)
     # and overlay endpoints
     res_pos: np.ndarray | None = None
     res_w: np.ndarray | None = None
     res_ov: list[tuple[int, int]] = field(default_factory=list)
-    td_post: TreeDec | None = None                     # td's shape; boundary-pair base weights = D
-    dis_post: list | None = None
     D: np.ndarray | None = None                        # |B|×|B| global boundary dists
     # hub layout and cross-boundary index; the tree shapes never change,
-    # so ``hubs``, ``bcols``, ``nonb`` and ``plan`` are fixed at build
+    # so ``hubs``, ``bcols`` and ``plan`` are fixed at build
     hubs: np.ndarray | None = None                     # sorted union of B_i's overlay hubs
     bcols: list[np.ndarray] = field(default_factory=list)  # b_j's overlay ancestors' columns in ``hubs``
     H: np.ndarray | None = None                        # |B|×|hubs|: row j = b_j's dis_o row at bcols[j], INF elsewhere
-    disB: np.ndarray | None = None                     # n×|B|: row v = d_G(v, B_i)
-    nonb: np.ndarray | None = None                     # non-boundary local ids
-    plan: tuple = ()                                   # disB_plan of td_post
-    lrows: list[np.ndarray] = field(default_factory=list)  # local id -> L* row (views of one matrix)
+    disB: np.ndarray | None = None                     # |vertices|×|B|: row r = d_G(vertices[r], B_i)
+    plan: tuple = ()                                   # disB_plan of td_post, rows in ``vertices`` order
     lstar: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)  # non-boundary v -> (hubs, lrows[v])
 
 
@@ -294,8 +290,12 @@ class PMHLIndex:
         self.graph = graph
         self.k = k
         self.part: Partition = partition_graph(graph, k, coords)
+        self.pid: list[int] = self.part.pid.tolist()
         # hub_joins[i][j] = positions of the hubs partitions i and j share
         self.hub_joins: list[list[tuple[np.ndarray, np.ndarray]]] = []
+        self.td_post: TreeDec | None = None  # td's shape; boundary-pair base weights = D
+        self.dis_post: list | None = None
+        self.lrows: list[np.ndarray | None] = [None] * graph.n  # v -> L* row (views of its partition's matrix)
         self.build()
 
     # ------------------------------------------------------------------
@@ -303,65 +303,67 @@ class PMHLIndex:
     # ------------------------------------------------------------------
     def build(self) -> None:
         bt = self.build_times = {}
-        t_parts1 = bt["parts_phase_a"] = {}
-        # Step 1 (phase A): contract non-boundary vertices by MDE; the
-        # residual boundary graph is Theorem 2's overlay shortcuts.
-        self.units: list[PartitionUnit] = []
-        pass1 = []
-        for i, vs in enumerate(self.part.parts):
-            gl, loc = self.graph.subgraph(vs)
-            u = PartitionUnit(pid=i, vertices=vs, loc=loc)
-            u.b_set = {loc[b] for b in self.part.boundary[i]}
-            u.b_mask = np.zeros(gl.n, dtype=bool)
-            u.b_mask[list(u.b_set)] = True
-            self.units.append(u)
-            t0 = time.perf_counter()
-            elim = contract_nonboundary(gl, u.b_mask)
-            pass1.append((elim, elim.residual()))
-            t_parts1[i] = time.perf_counter() - t0
+        part, pid, n = self.part, self.pid, self.graph.n
+        # Step 1 (phase A): contract the non-boundary vertices of the
+        # intra-partition edges by MDE; the residual boundary graph is
+        # Theorem 2's overlay shortcuts.
+        t0 = time.perf_counter()
+        self.b_mask = np.zeros(n, dtype=bool)
+        self.b_mask[part.boundary_all] = True
+        intra = Graph(n, ((a, b, w) for a, b, w in self.graph.edges() if pid[a] == pid[b]))
+        elim = contract_nonboundary(intra, self.b_mask)
+        residual = elim.residual()
+        bt["parts_phase_a"] = time.perf_counter() - t0
 
         # Step 2+3: overlay graph from residual + inter edges; overlay MHL.
         t0 = time.perf_counter()
-        self.ov_vertices = self.part.boundary_all
-        self.o_loc = {g: i for i, g in enumerate(self.ov_vertices)}
+        self.ov_vertices = part.boundary_all
+        o_loc = self.o_loc = {g: i for i, g in enumerate(self.ov_vertices)}
         og = Graph(len(self.ov_vertices))
-        for u, (_, residual) in zip(self.units, pass1):
-            glob = u.vertices
-            for (l1, l2), w in residual.items():
-                og.add_edge(self.o_loc[glob[l1]], self.o_loc[glob[l2]], w)
-        for a, b, _ in self.part.inter_edges:
-            og.add_edge(self.o_loc[a], self.o_loc[b], self.graph.adj[a][b])
+        for (a, b), w in residual.items():
+            og.add_edge(o_loc[a], o_loc[b], w)
+        for a, b, _ in part.inter_edges:
+            og.add_edge(o_loc[a], o_loc[b], self.graph.adj[a][b])
         self.td_o = build_treedec(og)
         self.dis_o = build_labels(self.td_o) if self.level != "shortcut" else None
         bt["overlay"] = time.perf_counter() - t0
 
-        # Step 1 (phase B): resume phase A and contract the boundary in
+        # Step 1 (phase B): resume phase A and contract each boundary in
         # the overlay order.
-        t_parts2 = bt["parts_phase_b"] = {}
-        for u, (elim, residual) in zip(self.units, pass1):
-            t0 = time.perf_counter()
-            b_sorted = sorted(u.b_set, key=lambda l: int(self.td_o.rank[self.o_loc[u.vertices[l]]]))
-            u.b_local = b_sorted
-            u.b_ov = [self.o_loc[u.vertices[l]] for l in b_sorted]
-            u.td = finish_boundary_first(elim, b_sorted)
-            # The Lemma-2 stages read d(v, B_i) from v's label row: B_i
-            # must be the top chain of the tree, b_local deepest first.
-            depth, parent = u.td.depth, u.td.parent
-            bdep = [depth[b] for b in b_sorted]
-            if bdep != list(range(len(b_sorted) - 1, -1, -1)):
+        t0 = time.perf_counter()
+        self.units: list[PartitionUnit] = []
+        for i, (vs, bs) in enumerate(zip(part.parts, part.boundary)):
+            b_sorted = sorted(bs, key=lambda b: int(self.td_o.rank[o_loc[b]]))
+            self.units.append(
+                PartitionUnit(pid=i, vertices=vs, b_local=b_sorted, b_ov=[o_loc[b] for b in b_sorted], b_set=set(bs))
+            )
+        td = self.td = finish_boundary_first(elim, [u.b_local for u in self.units])
+        # The Lemma-2 stages read d(v, B_i) from v's label row: B_i must
+        # be the top chain of its tree, b_local deepest first.
+        depth, parent = td.depth, td.parent
+        for u in self.units:
+            bdep = [depth[b] for b in u.b_local]
+            if bdep != list(range(len(bdep) - 1, -1, -1)):
                 raise AssertionError(f"partition {u.pid}: boundary depths {bdep} are not |B|-1, ..., 0")
-            b_anc = [0] * len(u.vertices)
-            for v in reversed(u.td.order):  # parents first
-                if v in u.b_set:
-                    b_anc[v] = depth[v] + 1
-                elif parent[v] >= 0:
-                    b_anc[v] = b_anc[parent[v]]
-            u.b_anc = array("i", b_anc)
-            u.dis = build_labels(u.td) if self.level != "shortcut" else None
-            u.res_pos = np.array([position(u.td, a, b) for a, b in residual], dtype=np.int64)
-            u.res_w = np.array(list(residual.values()), dtype=np.float64)
-            u.res_ov = [(self.o_loc[u.vertices[a]], self.o_loc[u.vertices[b]]) for a, b in residual]
-            t_parts2[u.pid] = time.perf_counter() - t0
+        # per vertex: how many of its partition's boundary vertices lie on
+        # its root path
+        b_anc = [0] * n
+        is_b = self.b_mask.tolist()
+        for v in reversed(td.order):  # parents first
+            if is_b[v]:
+                b_anc[v] = depth[v] + 1
+            elif parent[v] >= 0:
+                b_anc[v] = b_anc[parent[v]]
+        self.b_anc = array("i", b_anc)
+        self.dis = build_labels(td) if self.level != "shortcut" else None
+        res: list[list[tuple[tuple[int, int], float]]] = [[] for _ in self.units]
+        for (a, b), w in residual.items():
+            res[pid[a]].append(((a, b), w))
+        for u, pairs in zip(self.units, res):
+            u.res_pos = np.array([position(td, a, b) for (a, b), _ in pairs], dtype=np.int64)
+            u.res_w = np.array([w for _, w in pairs], dtype=np.float64)
+            u.res_ov = [(o_loc[a], o_loc[b]) for (a, b), _ in pairs]
+        bt["parts_phase_b"] = time.perf_counter() - t0
 
         # Hub layout, which the PCH schedule and every Lemma-2 stage read.
         t0 = time.perf_counter()
@@ -374,19 +376,19 @@ class PMHLIndex:
 
         # Steps 4+5: post-boundary indexes L'_i (boundary-pair bases = D),
         # and each partition's H_i: B_i's overlay labels.
-        t_post = bt["post"] = {}
+        t0 = time.perf_counter()
+        pins = []
         for u in self.units:
-            t0 = time.perf_counter()
             u.H = np.full((len(u.bcols), len(u.hubs)), INF, dtype=np.float64)
             every_row = range(len(u.b_ov))
             self._set_hub_rows(u, every_row)
             u.D = boundary_rows(u.H, every_row)
             bl = u.b_local
-            u.td_post = share_shape(u.td)
-            pins = [(bl[a], bl[b], float(u.D[a, b])) for a in range(len(bl)) for b in range(a + 1, len(bl))]
-            update_shortcuts(u.td_post, pins)
-            u.dis_post = build_labels(u.td_post)
-            t_post[u.pid] = time.perf_counter() - t0
+            pins += [(bl[a], bl[b], float(u.D[a, b])) for a in range(len(bl)) for b in range(a + 1, len(bl))]
+        self.td_post = share_shape(td)
+        update_shortcuts(self.td_post, pins)
+        self.dis_post = build_labels(self.td_post)
+        bt["post"] = time.perf_counter() - t0
 
         if self.level == "post":
             return
@@ -395,9 +397,7 @@ class PMHLIndex:
         t_cross = bt["cross"] = {}
         for u in self.units:
             t0 = time.perf_counter()
-            n = len(u.vertices)
-            u.nonb = np.array([v for v in range(n) if v not in u.b_set], dtype=np.int64)
-            u.plan = disB_plan(u.td_post, {v: v for v in range(n)}, u.b_local)
+            u.plan = disB_plan(self.td_post, {v: r for r, v in enumerate(u.vertices)}, u.b_local)
             self._build_cross(u)
             t_cross[u.pid] = time.perf_counter() - t0
 
@@ -430,11 +430,12 @@ class PMHLIndex:
         ``H[j]`` (kept current by U3) is b_j's own ``L*`` row; every
         other row is ``disB ⊗ H``.
         """
-        u.disB = build_disB(u.td_post, u.plan, u.D)
+        u.disB = build_disB(self.td_post, u.plan, u.D)
         L = cross_labels(u.disB, u.H)
-        L[u.b_local] = u.H
-        u.lrows = list(L)
-        u.lstar = {v: (u.hubs, u.lrows[v]) for v in u.nonb.tolist()}
+        L[u.plan[1]] = u.H
+        for v, row in zip(u.vertices, L):
+            self.lrows[v] = row
+        u.lstar = {v: (u.hubs, self.lrows[v]) for v in u.vertices if v not in u.b_set}
 
     # ------------------------------------------------------------------
     # queries (stages 1..5)
@@ -446,64 +447,51 @@ class PMHLIndex:
         """Q-Stage 2: the union CH of the partition and overlay trees."""
         return ch_query_rows(self.pch, s, t)
 
-    def _hub_row(self, u: PartitionUnit, l: int, dis: list) -> np.ndarray:
-        """d(v, ·) over the partition's hubs through B_i, v = local ``l``
-        (Lemma 2). A boundary vertex's vector is its own ``H`` row. Any
-        other v reaches B_i through its boundary ancestors (the tree
-        separates it from the rest of B_i), which are the top
-        ``b_anc[l]`` depths of both partition trees, the last rows of
-        ``H``: the vector is ``min_d dis[l][d] + H[|B| - 1 - d]``."""
-        if l in u.b_set:
-            return u.H[len(u.b_local) - 1 - u.td.depth[l]]
-        k = u.b_anc[l]
-        return (dis[l][:k, None] + u.H[::-1][:k]).min(axis=0, initial=INF)
+    def _hub_row(self, u: PartitionUnit, v: int, dis: list) -> np.ndarray:
+        """d(v, ·) over the hubs of v's partition through B_i (Lemma 2).
+        A boundary vertex's vector is its own ``H`` row. Any other v
+        reaches B_i through its boundary ancestors (the tree separates it
+        from the rest of B_i), which are the top ``b_anc[v]`` depths of
+        both partition trees, the last rows of ``H``: the vector is
+        ``min_d dis[v][d] + H[|B| - 1 - d]``."""
+        if v in u.b_set:
+            return u.H[len(u.b_local) - 1 - self.td.depth[v]]
+        k = self.b_anc[v]
+        return (dis[v][:k, None] + u.H[::-1][:k]).min(axis=0, initial=INF)
 
-    def _via_hubs(self, s: int, t: int, dis_attr: str) -> float:
+    def _via_hubs(self, s: int, t: int, dis: list) -> float:
         """Boundary concatenation as Lemma 2's min-plus product: the min
         over the hubs partitions i and j share of s's and t's hub
-        vectors (``dis_attr`` names the partition labels they read)."""
-        i, j = int(self.part.pid[s]), int(self.part.pid[t])
-        ui, uj = self.units[i], self.units[j]
+        vectors (``dis`` is the partition labels they read)."""
+        i, j = self.pid[s], self.pid[t]
         i1, i2 = self.hub_joins[i][j]
-        return joined_min(
-            self._hub_row(ui, ui.loc[s], getattr(ui, dis_attr)), i1,
-            self._hub_row(uj, uj.loc[t], getattr(uj, dis_attr)), i2,
-        )
+        return joined_min(self._hub_row(self.units[i], s, dis), i1, self._hub_row(self.units[j], t, dis), i2)
 
     def query_noboundary(self, s: int, t: int) -> float:
-        """Q-Stage 3: L_i + ~L, concatenated through the hubs."""
+        """Q-Stage 3: L_i + ~L, concatenated through the hubs (``L_i``
+        answers INF across partitions: they are different trees)."""
         if s == t:
             return 0.0
-        i, j = int(self.part.pid[s]), int(self.part.pid[t])
-        via = self._via_hubs(s, t, "dis")
-        if i == j:
-            u = self.units[i]
-            local = h2h_query(u.td, u.dis, u.loc[s], u.loc[t])
-            return min(local, via)
-        return via
+        return min(h2h_query(self.td, self.dis, s, t), self._via_hubs(s, t, self.dis))
 
     def query_postboundary(self, s: int, t: int) -> float:
         """Q-Stage 4: same-partition via L'_i; cross-partition through the
         hubs from L'_i's labels."""
         if s == t:
             return 0.0
-        i, j = int(self.part.pid[s]), int(self.part.pid[t])
-        if i == j:
-            u = self.units[i]
-            return h2h_query(u.td_post, u.dis_post, u.loc[s], u.loc[t])
-        return self._via_hubs(s, t, "dis_post")
+        if self.pid[s] == self.pid[t]:
+            return h2h_query(self.td_post, self.dis_post, s, t)
+        return self._via_hubs(s, t, self.dis_post)
 
     def query_cross(self, s: int, t: int) -> float:
         """Q-Stage 5: same-partition via L'_i, cross-partition via L*."""
         if s == t:
             return 0.0
-        i, j = int(self.part.pid[s]), int(self.part.pid[t])
+        i, j = self.pid[s], self.pid[t]
         if i == j:
-            u = self.units[i]
-            return h2h_query(u.td_post, u.dis_post, u.loc[s], u.loc[t])
-        ui, uj = self.units[i], self.units[j]
+            return h2h_query(self.td_post, self.dis_post, s, t)
         i1, i2 = self.hub_joins[i][j]
-        return joined_min(ui.lrows[ui.loc[s]], i1, uj.lrows[uj.loc[t]], i2)
+        return joined_min(self.lrows[s], i1, self.lrows[t], i2)
 
     query = query_cross  # final-stage (fully updated) query entry point
 
@@ -513,6 +501,7 @@ class PMHLIndex:
     def apply_batch(self, updates: list[tuple[int, int, float]]) -> dict:
         """Run U-Stages 1–5; returns per-stage / per-task durations."""
         out: dict = {}
+        td, pid = self.td, self.pid
 
         # ---- U1: on-spot edge update --------------------------------
         t0 = time.perf_counter()
@@ -520,8 +509,8 @@ class PMHLIndex:
         intra: dict[int, list[tuple[int, int, float]]] = {}
         inter: list[tuple[int, int, float]] = []
         for a, b, w in updates:
-            i, j = int(self.part.pid[a]), int(self.part.pid[b])
-            if i == j:
+            i = pid[a]
+            if i == pid[b]:
                 intra.setdefault(i, []).append((a, b, w))
             else:
                 inter.append((a, b, w))
@@ -534,14 +523,14 @@ class PMHLIndex:
         for i, ups in intra.items():
             u = self.units[i]
             t0 = time.perf_counter()
-            res = update_shortcuts(u.td, [(u.loc[a], u.loc[b], w) for a, b, w in ups])
+            res = update_shortcuts(td, ups)
             affected_lab[i] = res.affected
             # Theorem-2 residuals: an overlay edge's base weight is its
             # residual (boundary-contributor-free) value, so a moved
             # residual is an overlay change. Only a recomputed pair's
             # residual can move.
             k = np.flatnonzero(np.isin(u.res_pos, res.recomputed_pairs))
-            nv = support_min(u.td, u.res_pos[k], skip=u.b_mask)
+            nv = support_min(td, u.res_pos[k], skip=self.b_mask)
             moved = nv != u.res_w[k]
             u.res_w[k[moved]] = nv[moved]
             ov_changes.extend((*u.res_ov[j], w) for j, w in zip(k[moved].tolist(), nv[moved].tolist()))
@@ -556,11 +545,10 @@ class PMHLIndex:
         # ---- U3: no-boundary label update ---------------------------
         u3_parts: dict[int, float] = {}
         for i, aff in affected_lab.items():
-            u = self.units[i]
             t0 = time.perf_counter()
-            roots = prune_to_subtree_roots(u.td, aff)
+            roots = prune_to_subtree_roots(td, aff)
             if roots:
-                build_labels(u.td, roots=roots, dis=u.dis)
+                build_labels(td, roots=roots, dis=self.dis)
             u3_parts[i] = time.perf_counter() - t0
         t0 = time.perf_counter()
         ov_roots = prune_to_subtree_roots(self.td_o, res_o.affected)
@@ -606,31 +594,31 @@ class PMHLIndex:
         overlay label changed are recomputed from ``H`` (the others hold,
         as ``D[a, b]`` reads only rows a and b of ``H``); the moved
         entries and the partition's edge changes go to ``td_post``, then
-        its labels. Returns whether any ``td_post`` row changed."""
+        its labels. Returns whether any of the partition's ``td_post``
+        rows changed."""
         # a boundary pair's weight is pinned to D (below)
-        changes = [(u.loc[a], u.loc[b], w) for a, b, w in intra if not {u.loc[a], u.loc[b]} <= u.b_set]
+        changes = [(a, b, w) for a, b, w in intra if not (a in u.b_set and b in u.b_set)]
         rows = [a for a, o in enumerate(u.b_ov) if o in changed_ov]
         for a, new in zip(rows, boundary_rows(u.H, rows)):
             moved = np.flatnonzero(new != u.D[a])
             u.D[a, moved] = u.D[moved, a] = new[moved]
             changes.extend((u.b_local[a], u.b_local[b], float(new[b])) for b in moved.tolist())
-        res_p = update_shortcuts(u.td_post, changes)
-        roots = prune_to_subtree_roots(u.td_post, res_p.affected)
+        res_p = update_shortcuts(self.td_post, changes)
+        roots = prune_to_subtree_roots(self.td_post, res_p.affected)
         if roots:
-            build_labels(u.td_post, roots=roots, dis=u.dis_post)
+            build_labels(self.td_post, roots=roots, dis=self.dis_post)
         return bool(roots or res_p.affected)
 
     # ------------------------------------------------------------------
     def index_size(self) -> int:
         """Total index entries across all PMHL components."""
-        total = 0
+        total = sum(len(nb) for nb in self.td.neigh)
+        if self.dis is not None:
+            total += sum(len(d) for d in self.dis)
+        if self.td_post is not None:
+            total += sum(len(nb) for nb in self.td_post.neigh)
+            total += sum(len(d) for d in self.dis_post)
         for u in self.units:
-            total += sum(len(nb) for nb in u.td.neigh)
-            if u.dis is not None:
-                total += sum(len(d) for d in u.dis)
-            if u.td_post is not None:
-                total += sum(len(nb) for nb in u.td_post.neigh)
-                total += sum(len(d) for d in u.dis_post)
             if u.disB is not None:
                 total += u.disB.size
             total += sum(len(h) for h, _ in u.lstar.values())

@@ -23,11 +23,12 @@ plain ``build_labels`` over the partition subtree.
 
 Update stages: U1 edge refresh → U2 shortcuts (partition-parallel
 sweeps + overlay sweep over the escaped dirty positions) → U3 overlay labels
-and the re-gathered ``D_i`` and ``H_i`` of partitions with a changed ``B_i`` row →
+and the re-gathered ``H_i`` and ``D_i`` of partitions with a changed ``B_i`` row →
 U4 post-boundary and U5 cross-boundary per-partition in parallel. U4 is
-change-driven: it reads only ``D_i`` (a gather, :func:`boundary_gather`)
-and the partition's shortcuts, so it runs only where one of them changed;
-U5 runs wherever U4 ran or an overlay ancestor's row changed.
+change-driven: it reads only ``D_i`` (``H_i``'s columns at B_i's depths,
+:func:`boundary_dists`) and the partition's shortcuts, so it runs only
+where one of them changed; U5 runs wherever U4 ran or an overlay
+ancestor's row changed.
 Queries per stage: BiDijkstra → CH → post-boundary → full H2H. The CH
 stage is the root-path DP of Lemma 4 over the global tree (``TreeCH``),
 with no heap. Across partitions the post-boundary stage concatenates
@@ -54,21 +55,6 @@ from repro.psp.pmhl import build_disB, disB_plan, relabel
 INF = math.inf
 
 
-def boundary_gather(td: TreeDec, dis: list, root: int) -> np.ndarray:
-    """D_i among B_i = X(root).N, gathered from the label rows.
-
-    B_i lies on the root's ancestor path, so every pair is an ancestor
-    pair and ``d(b_a, b_b) = dis[deeper][depth(shallower)]`` — the value
-    ``h2h_query`` returns for it, bit for bit. ``X(root).N`` is in
-    descending depth, so ``b_a`` is the deeper one for every ``b > a``.
-    """
-    bs, dep = td.neigh[root], td.pos[root]
-    D = np.zeros((len(bs), len(bs)), dtype=np.float64)
-    for a in range(len(bs) - 1):
-        D[a, a + 1 :] = D[a + 1 :, a] = dis[bs[a]][dep[a + 1 :]]
-    return D
-
-
 def hub_matrix(td: TreeDec, dis: list, root: int) -> np.ndarray:
     """H_i: row a is ``dis[b_a]`` for b_a ∈ B_i = X(root).N, padded with
     INF to the root's depth. Column h is the root's overlay ancestor at
@@ -79,6 +65,16 @@ def hub_matrix(td: TreeDec, dis: list, root: int) -> np.ndarray:
     for a, b in enumerate(bs):
         H[a, : len(dis[b])] = dis[b]
     return H
+
+
+def boundary_dists(td: TreeDec, H: np.ndarray, root: int) -> np.ndarray:
+    """D_i among B_i = X(root).N, read from ``H_i``'s columns at B_i's
+    depths. B_i lies on the root's ancestor path, so every pair is an
+    ancestor pair: ``G[a, b] = dis[b_a][depth(b_b)]`` is ``d(b_a, b_b)``
+    where b_a is the deeper (``b > a``: ``X(root).N`` is in descending
+    depth), INF padding where it is the shallower, and 0 at ``a = b``."""
+    G = H[:, td.pos[root]]
+    return np.minimum(G, G.T)
 
 
 class PostMHLIndex:
@@ -110,6 +106,7 @@ class PostMHLIndex:
         # i's subtree and overlay ancestors, so this one mask restricts
         # every partition's U2 sweep to its own partition.
         self.in_part = self.tdp.pid >= 0
+        self.pid: list[int] = self.tdp.pid.tolist()  # the query stages' partition ids
         self.plans: list[tuple] = [()] * self.k  # disB_plan per partition
         self.D: list[np.ndarray | None] = [None] * self.k
         self.H: list[np.ndarray | None] = [None] * self.k  # hub_matrix per partition
@@ -138,8 +135,8 @@ class PostMHLIndex:
             row = {b: j for j, b in enumerate(bs)}
             row.update((v, len(bs) + j) for j, v in enumerate(part))
             self.plans[i] = disB_plan(self.td, row, bs)
-            self.D[i] = boundary_gather(self.td, self.dis, self.tdp.roots[i])
             self.H[i] = hub_matrix(self.td, self.dis, self.tdp.roots[i])
+            self.D[i] = boundary_dists(self.td, self.H[i], self.tdp.roots[i])
             self._build_post(i)
             t_post[i] = time.perf_counter() - t0
             t0 = time.perf_counter()
@@ -191,7 +188,7 @@ class PostMHLIndex:
         """Q-Stage 3: post-boundary + overlay index (cross entries stale)."""
         if s == t:
             return 0.0
-        i, j = int(self.tdp.pid[s]), int(self.tdp.pid[t])
+        i, j = self.pid[s], self.pid[t]
         td = self.td
         if i == -1 and j == -1:
             return h2h_query(td, self.dis, s, t)
@@ -248,7 +245,7 @@ class PostMHLIndex:
         ov_edges: list[tuple[int, int, float]] = []
         for a, b, w in applied:
             owner = a if td.rank[a] < td.rank[b] else b
-            i = int(self.tdp.pid[owner])
+            i = self.pid[owner]
             if i == -1:
                 ov_edges.append((a, b, w))
             else:
@@ -276,13 +273,13 @@ class PostMHLIndex:
         roots = prune_to_subtree_roots(td, ov_affected)
         changed_ov = relabel(td, self.dis, roots, self.tdp.overlay)
         # changed_ov holds overlay vertices whose label values truly
-        # changed; D_i and H_i are gathers of B_i's rows, so only a
-        # changed B_i row can move them. Q-stage 3 reads H_i.
+        # changed; H_i is a gather of B_i's rows and D_i reads H_i, so
+        # only a changed B_i row can move them. Q-stage 3 reads H_i.
         changed_D: set[int] = set()
         for i, bs in enumerate(self.tdp.boundary):
             if not changed_ov.isdisjoint(bs):
                 self.H[i] = hub_matrix(td, self.dis, self.tdp.roots[i])
-                D = boundary_gather(td, self.dis, self.tdp.roots[i])
+                D = boundary_dists(td, self.H[i], self.tdp.roots[i])
                 if not np.array_equal(D, self.D[i]):
                     self.D[i] = D
                     changed_D.add(i)

@@ -67,12 +67,13 @@ class PTDPIndex(PMHLIndex):
         overlay."""
         if s == t:
             return 0.0
-        i, j = int(self.part.pid[s]), int(self.part.pid[t])
-        ui, uj = self.units[i], self.units[j]
+        i, j = self.pid[s], self.pid[t]
+        td, dis = self.td_post, self.dis_post
         if i == j:
-            return h2h_query(ui.td_post, ui.dis_post, ui.loc[s], ui.loc[t])
-        ds = [h2h_query(ui.td_post, ui.dis_post, ui.loc[s], b) for b in ui.b_local]
-        dt = [h2h_query(uj.td_post, uj.dis_post, uj.loc[t], b) for b in uj.b_local]
+            return h2h_query(td, dis, s, t)
+        ui, uj = self.units[i], self.units[j]
+        ds = [h2h_query(td, dis, s, b) for b in ui.b_local]
+        dt = [h2h_query(td, dis, t, b) for b in uj.b_local]
         return concat_min(self.td_o, self.dis_o, ds, ui.b_ov, dt, uj.b_ov)
 
     query = query_postboundary

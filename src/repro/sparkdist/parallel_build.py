@@ -84,7 +84,7 @@ def spark_partition_labels(spark: SparkSession, graph: Graph, part: Partition) -
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
         pid, vertices, gl, bmask = _local_unit(pdf, part)
-        td = finish_boundary_first(contract_nonboundary(gl, bmask), np.flatnonzero(bmask).tolist())
+        td = finish_boundary_first(contract_nonboundary(gl, bmask), [np.flatnonzero(bmask).tolist()])
         dis = build_labels(td)
         rows = h2h_label_rows(td, dis, id_map=vertices)
         rows.insert(0, "pid", pid)

@@ -78,10 +78,3 @@ def multistage_throughput(stages: list[Stage], dt: float, rq: float) -> float:
     lam_pk = pk_throughput(tq_eff, vq_eff, rq)
     lam_cap = capacity / dt
     return min(lam_pk, lam_cap)
-
-
-def baseline_stages(tu: float, tq_fallback: float, vq_fallback: float, tq: float, vq: float, dt: float) -> list[Stage]:
-    """Stage list for a single-index baseline: BiDijkstra during its
-    maintenance window (the paper's fallback), then the index."""
-    tu = min(tu, dt)
-    return [Stage(tu, tq_fallback, vq_fallback), Stage(dt - tu, tq, vq)]

@@ -5,8 +5,8 @@ heap search that the root-path DP replaced, verbatim.
   (vertex → its upward shortcut edges), from both ends; the answer is
   the min over the vertices both searches settled;
 - ``tree_rows``: the row function of one tree (DCH, DH2H, PostMHL);
-- ``pmhl_rows``: PMHL's union of the partition and overlay trees, the
-  old ``PMHLIndex._pch_rows``;
+- ``pmhl_rows``: PMHL's union of the partition forest and the overlay
+  tree, the old ``PMHLIndex._pch_rows``;
 - ``query``: the old PCH stage of any of these indexes.
 """
 from __future__ import annotations
@@ -62,15 +62,11 @@ def pmhl_rows(idx) -> RowFn:
     """Upward shortcut rows of the union CH (partition ∪ overlay)."""
 
     def rows(v: int):
-        i = int(idx.part.pid[v])
-        u = idx.units[i]
-        l = u.loc[v]
         out: dict[int, float] = {}
-        for x, w in zip(u.td.neigh[l], u.td.sc[l]):
-            g = u.vertices[x]
-            if w < out.get(g, INF):
-                out[g] = float(w)
-        if l in u.b_set:
+        for x, w in zip(idx.td.neigh[v], idx.td.sc[v]):
+            if w < out.get(x, INF):
+                out[x] = float(w)
+        if v in idx.units[int(idx.part.pid[v])].b_set:
             o = idx.o_loc[v]
             for x, w in zip(idx.td_o.neigh[o], idx.td_o.sc[o]):
                 g = idx.ov_vertices[x]

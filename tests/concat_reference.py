@@ -2,8 +2,10 @@
 min-plus product replaced in the PMHL and PostMHL query stages.
 
 - ``boundary_matrix``: all-pair distances among boundary vertices, one
-  H2H query per pair (what PMHL's ``D_i`` and PostMHL's gathered
-  ``D_i`` must equal);
+  H2H query per pair (what PMHL's ``D_i`` and PostMHL's ``D_i`` must
+  equal);
+- ``boundary_gather``: PostMHL's ``D_i`` gathered pair by pair from the
+  label rows, which its read from ``H_i`` replaced;
 - ``hub_query``: the generic 2-hop-cover query over two sorted hub
   arrays (what ``query_cross``'s precomputed join must equal);
 - ``pmhl_noboundary`` / ``pmhl_postboundary`` / ``postmhl_postboundary``:
@@ -32,42 +34,49 @@ def boundary_matrix(td, dis, verts) -> np.ndarray:
     return D
 
 
+def boundary_gather(td, dis, root) -> np.ndarray:
+    """D_i among B_i = X(root).N, gathered from the label rows.
+
+    B_i lies on the root's ancestor path, so every pair is an ancestor
+    pair and ``d(b_a, b_b) = dis[deeper][depth(shallower)]`` — the value
+    ``h2h_query`` returns for it, bit for bit. ``X(root).N`` is in
+    descending depth, so ``b_a`` is the deeper one for every ``b > a``.
+    """
+    bs, dep = td.neigh[root], td.pos[root]
+    D = np.zeros((len(bs), len(bs)), dtype=np.float64)
+    for a in range(len(bs) - 1):
+        D[a, a + 1 :] = D[a + 1 :, a] = dis[bs[a]][dep[a + 1 :]]
+    return D
+
+
 def hub_query(h1, d1, h2, d2) -> float:
     """2-hop-cover query over two sorted hub arrays."""
     _, i1, i2 = np.intersect1d(h1, h2, assume_unique=True, return_indices=True)
     return joined_min(d1, i1, d2, i2)
 
 
-def _pmhl_concat(idx, s, t, td_attr, dis_attr) -> float:
-    i, j = int(idx.part.pid[s]), int(idx.part.pid[t])
-    ui, uj = idx.units[i], idx.units[j]
-    tdi, disi = getattr(ui, td_attr), getattr(ui, dis_attr)
-    tdj, disj = getattr(uj, td_attr), getattr(uj, dis_attr)
-    ls, lt = ui.loc[s], uj.loc[t]
-    ds = [h2h_query(tdi, disi, ls, b) for b in ui.b_local]
-    dt = [h2h_query(tdj, disj, lt, b) for b in uj.b_local]
+def _pmhl_concat(idx, s, t, td, dis) -> float:
+    ui, uj = idx.units[int(idx.part.pid[s])], idx.units[int(idx.part.pid[t])]
+    ds = [h2h_query(td, dis, s, b) for b in ui.b_local]
+    dt = [h2h_query(td, dis, t, b) for b in uj.b_local]
     return concat_min(idx.td_o, idx.dis_o, ds, ui.b_ov, dt, uj.b_ov)
 
 
 def pmhl_noboundary(idx, s, t) -> float:
     if s == t:
         return 0.0
-    i, j = int(idx.part.pid[s]), int(idx.part.pid[t])
-    via = _pmhl_concat(idx, s, t, "td", "dis")
-    if i == j:
-        u = idx.units[i]
-        return min(h2h_query(u.td, u.dis, u.loc[s], u.loc[t]), via)
+    via = _pmhl_concat(idx, s, t, idx.td, idx.dis)
+    if idx.part.pid[s] == idx.part.pid[t]:
+        return min(h2h_query(idx.td, idx.dis, s, t), via)
     return via
 
 
 def pmhl_postboundary(idx, s, t) -> float:
     if s == t:
         return 0.0
-    i, j = int(idx.part.pid[s]), int(idx.part.pid[t])
-    if i == j:
-        u = idx.units[i]
-        return h2h_query(u.td_post, u.dis_post, u.loc[s], u.loc[t])
-    return _pmhl_concat(idx, s, t, "td_post", "dis_post")
+    if idx.part.pid[s] == idx.part.pid[t]:
+        return h2h_query(idx.td_post, idx.dis_post, s, t)
+    return _pmhl_concat(idx, s, t, idx.td_post, idx.dis_post)
 
 
 def postmhl_postboundary(idx, s, t) -> float:

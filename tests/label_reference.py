@@ -17,7 +17,7 @@ INF = math.inf
 def reference_labels(td, *, roots=None, active=None, dis=None, col0=0):
     if dis is None:
         dis = [None] * td.n
-    h = td.tree_height()
+    h = td.height
     M = np.full((h, h), INF, dtype=np.float64)
     start = roots if roots is not None else td.roots
 

@@ -1,6 +1,9 @@
 """CH index (Lemma 4 construction) and DCH maintenance."""
+import time
+
 import pytest
 
+from repro.baselines.toain import TOAINIndex
 from repro.core.ch import CHIndex
 from tests.util import pairs_for, small_case, updated_case
 
@@ -45,3 +48,19 @@ def test_index_size_positive():
     idx = CHIndex(g.copy())
     assert idx.index_size() >= g.m  # at least every original edge appears
     assert idx.build_time > 0
+
+
+@pytest.mark.parametrize("cls", [CHIndex, TOAINIndex])
+def test_batch_seconds_cover_the_graph_update(cls, monkeypatch):
+    """DCH's and TOAIN's batch seconds include U1 (the graph update), as
+    DH2H's, PMHL's and PostMHL's batch times do."""
+    g, _, ups, _ = updated_case(1)
+    idx = cls(g.copy())
+    real = idx.graph.apply_updates
+
+    def slow(updates):
+        time.sleep(0.05)
+        return real(updates)
+
+    monkeypatch.setattr(idx.graph, "apply_updates", slow)
+    assert idx.apply_batch(ups[0]) >= 0.05

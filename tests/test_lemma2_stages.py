@@ -101,9 +101,9 @@ def _assert_boundary_top_chain(idx: PMHLIndex, pids) -> None:
     for i in pids:
         u = idx.units[i]
         nb = len(u.b_local)
-        assert [int(u.td.depth[b]) for b in u.b_local] == list(range(nb - 1, -1, -1)), i
+        assert [int(idx.td.depth[b]) for b in u.b_local] == list(range(nb - 1, -1, -1)), i
         for b in u.b_local[:-1]:
-            assert int(u.td.parent[b]) in u.b_set, i
+            assert int(idx.td.parent[b]) in u.b_set, i
 
 
 @pytest.mark.parametrize("name,pids", [("NY", None), ("FLA", None), ("CTR", [31])])
@@ -122,7 +122,7 @@ def test_build_rejects_a_boundary_off_the_top_chain(monkeypatch):
     import repro.psp.pmhl as pmhl
 
     real = pmhl.finish_boundary_first
-    monkeypatch.setattr(pmhl, "finish_boundary_first", lambda e, order: real(e, order[::-1]))
+    monkeypatch.setattr(pmhl, "finish_boundary_first", lambda e, orders: real(e, [o[::-1] for o in orders]))
     g, coords, _ = small_case(0, 20, 5)
     with pytest.raises(AssertionError, match="boundary depths"):
         PMHLIndex(g.copy(), 3, coords)

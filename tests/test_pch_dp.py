@@ -19,12 +19,11 @@ from repro.core.ch import CHIndex
 from repro.core.dijkstra import dijkstra
 from repro.core.h2h import H2HIndex
 from repro.graphs.generator import DATASETS
-from repro.graphs.graph import Graph
 from repro.psp.pmhl import PMHLIndex
 from repro.psp.postmhl import PostMHLIndex
 from repro.psp.strategies import NCHPIndex
 from tests import ch_reference as ref
-from tests.util import is_boundary, pmhl_pair_classes, postmhl_pair_classes, small_case, updated_case
+from tests.util import is_boundary, pmhl_pair_classes, postmhl_pair_classes, small_case, two_components, updated_case
 
 INF = math.inf
 
@@ -44,10 +43,10 @@ def _assert_overlay_dominates(idx: PMHLIndex) -> None:
     td_o = idx.td_o
     for u in idx.units:
         for b in u.b_local:
-            o = idx.o_loc[u.vertices[b]]
-            for x, w in zip(u.td.neigh[b], u.td.sc[b]):
+            o = idx.o_loc[b]
+            for x, w in zip(idx.td.neigh[b], idx.td.sc[b]):
                 if w < INF:
-                    k = td_o.nidx[o][idx.o_loc[u.vertices[x]]]
+                    k = td_o.nidx[o][idx.o_loc[x]]
                     assert td_o.sc[o][k] <= w, (u.pid, b, x)
 
 
@@ -61,7 +60,7 @@ def _assert_all(indexes, rng) -> None:
                 ps = ps + [(t, s) for s, t in ps]
             _assert_pairs(idx, idx.query_pch, ps, (type(idx).__name__, kind))
         loops = [(v, v) for v in rng.choice(idx.graph.n, 3, replace=False).tolist()]
-        loops.append((idx.units[0].vertices[idx.units[0].b_local[0]],) * 2)
+        loops.append((idx.units[0].b_local[0],) * 2)
         _assert_pairs(idx, idx.query_pch, loops, (type(idx).__name__, "s == t"))
     classes = postmhl_pair_classes(post, rng)
     for kind, ps in classes.items():
@@ -116,10 +115,10 @@ def test_pch_paths_that_leave_the_boundary_chain_partway():
     g, coords, ups, truths = updated_case(0, 20, 5)
     idx = PMHLIndex(g.copy(), 3, coords)
     branch = [
-        u.vertices[l]
+        v
         for u in idx.units
-        for l in range(len(u.vertices))
-        if not is_boundary(idx, u.vertices[l]) and 0 < u.b_anc[l] < len(u.b_local)
+        for v in u.vertices
+        if not is_boundary(idx, v) and 0 < idx.b_anc[v] < len(u.b_local)
     ]
     assert len(branch) >= 10
     for batch, fw in [([], small_case(0, 20, 5)[2]), *zip(ups, truths)]:
@@ -131,25 +130,12 @@ def test_pch_paths_that_leave_the_boundary_chain_partway():
                 assert idx.query_pch(t, s) == d, (t, s)
 
 
-def _two_components() -> tuple[Graph, np.ndarray, int]:
-    """A small road network plus a 3-vertex path placed at its left edge,
-    so PMHL's first partition holds a component with no boundary."""
-    g, coords, _ = small_case(0, 14, 5)
-    n = g.n
-    out = Graph(n + 3)
-    for a, b, w in g.edges():
-        out.add_edge(a, b, w)
-    out.add_edge(n, n + 1, 7.0)
-    out.add_edge(n + 1, n + 2, 5.0)
-    return out, np.vstack([coords, [[0, 0], [0, 1], [1, 0]]]), n
-
-
 def test_pch_no_path_is_inf():
     """Across components every CH stage answers INF; inside the extra
     component (no boundary, its own partition-tree root) it is exact."""
-    g, coords, n = _two_components()
+    g, coords, n = two_components()
     pm = PMHLIndex(g.copy(), 3, coords)
-    assert len(pm.units[int(pm.part.pid[n])].td.roots) == 2
+    assert sum(pm.part.pid[r] == pm.part.pid[n] for r in pm.td.roots) == 2
     post, h2h = PostMHLIndex(g.copy(), tau=8, k_e=3), H2HIndex(g.copy())
     dch, nchp = CHIndex(g.copy()), NCHPIndex(g.copy(), 3, coords)
     stages = [

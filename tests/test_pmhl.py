@@ -9,7 +9,7 @@ from repro.core.treedec import TreeDec, build_labels, build_treedec, h2h_query
 import repro.psp.pmhl as pmhl
 from repro.psp.pmhl import PMHLIndex
 from tests.concat_reference import boundary_matrix, hub_query
-from tests.util import pairs_for, small_case, updated_case
+from tests.util import assert_component_equals, is_boundary, pairs_for, small_case, updated_case
 
 import numpy as np
 
@@ -63,11 +63,9 @@ def _overlay_label(idx, o):
 def _lemma2_label(idx, v):
     """Lemma 2's L*(v): the overlay label for a boundary vertex, the
     index's row otherwise."""
-    u = idx.units[int(idx.part.pid[v])]
-    l = u.loc[v]
-    if l in u.b_set:
+    if is_boundary(idx, v):
         return _overlay_label(idx, idx.o_loc[v])
-    return u.lstar[l]
+    return idx.units[int(idx.part.pid[v])].lstar[v]
 
 
 def test_lemma2_cross_boundary_2hop_cover(built):
@@ -89,33 +87,31 @@ def test_lstar_entries_upper_bound_distance(built):
     idx, g, fw, _ = built
     u = idx.units[0]
     for v, (hubs, dists) in list(u.lstar.items())[:10]:
-        gv = u.vertices[v]
         for h, d in zip(hubs, dists):
             if math.isfinite(d):
-                assert d >= fw[gv][h] - 1e-9
+                assert d >= fw[v][h] - 1e-9
 
 
 def test_boundary_first_property(built):
     """In each partition tree, boundary ranks above non-boundary."""
     idx, _, _, _ = built
+    rank = idx.td.rank
     for u in idx.units:
         if not u.b_set:
             continue
-        max_nb = max(
-            (u.td.rank[l] for l in range(len(u.vertices)) if l not in u.b_set), default=-1
-        )
-        assert all(u.td.rank[b] > max_nb for b in u.b_set)
+        max_nb = max((rank[v] for v in u.vertices if v not in u.b_set), default=-1)
+        assert all(rank[b] > max_nb for b in u.b_set)
 
 
 def test_disB_values_exact(built):
     idx, g, fw, _ = built
     for u in idx.units:
-        for v in range(0, len(u.vertices), 5):
+        for r in range(0, len(u.vertices), 5):
+            v = u.vertices[r]
             if v in u.b_set:
                 continue
-            gv = u.vertices[v]
             for j, b in enumerate(u.b_local):
-                assert u.disB[v][j] == pytest.approx(fw[gv][u.vertices[b]])
+                assert u.disB[r][j] == pytest.approx(fw[v][b])
 
 
 @pytest.mark.parametrize("seed,k", [(0, 3), (1, 4)])
@@ -161,15 +157,16 @@ def test_hub_query_disjoint_returns_inf():
 
 def _per_vertex_cross(idx, u):
     """Reference L* construction, one vertex at a time: disB by a
-    parents-first loop, each L* row by np.unique + np.minimum.at."""
-    td = u.td_post
-    disB = {l: u.D[j] for j, l in enumerate(u.b_local)}
+    parents-first loop over the partition's tree, each L* row by
+    np.unique + np.minimum.at."""
+    td = idx.td_post
+    disB = {b: u.D[j] for j, b in enumerate(u.b_local)}
     for v in reversed(td.order):
-        if v not in u.b_set:
+        if idx.part.pid[v] == u.pid and v not in u.b_set:
             disB[v] = np.min([td.sc[v][k] + disB[x] for k, x in enumerate(td.neigh[v])], axis=0)
     b_hub = [_overlay_label(idx, o) for o in u.b_ov]
     lstar = {}
-    for v in range(len(u.vertices)):
+    for v in u.vertices:
         if v in u.b_set:
             continue
         hubs = np.concatenate([h for h, _ in b_hub])
@@ -186,7 +183,7 @@ def test_dense_cross_index_equals_per_vertex_reference(built):
     idx, _, _, _ = built
     for u in idx.units:
         disB, lstar = _per_vertex_cross(idx, u)
-        assert all(np.array_equal(u.disB[v], row) for v, row in disB.items())
+        assert all(np.array_equal(u.disB[r], disB[v]) for r, v in enumerate(u.vertices))
         assert len(disB) == len(u.disB) and u.lstar.keys() == lstar.keys()
         for v, (h, d) in lstar.items():
             assert np.array_equal(u.lstar[v][0], h) and np.array_equal(u.lstar[v][1], d), v
@@ -194,27 +191,26 @@ def test_dense_cross_index_equals_per_vertex_reference(built):
 
 def _extended_partition_post(idx, u):
     """Reference post-boundary index: the extended partition G'_i as a
-    graph (the partition plus every boundary pair at its D entry),
-    contracted again under the partition tree's order."""
-    gext, _ = idx.graph.subgraph(u.vertices)
-    for a in range(len(u.b_local)):
-        for b in range(a + 1, len(u.b_local)):
-            gext.add_edge(u.b_local[a], u.b_local[b], float(u.D[a, b]))
-    td = build_treedec(gext, fixed_order=u.td.order)
+    graph over local ids (the partition plus every boundary pair at its
+    D entry), contracted again under the partition tree's order (the
+    forest's order restricted to the partition)."""
+    gext, loc = idx.graph.subgraph(u.vertices)
+    bl = [loc[b] for b in u.b_local]
+    for a in range(len(bl)):
+        for b in range(a + 1, len(bl)):
+            gext.add_edge(bl[a], bl[b], float(u.D[a, b]))
+    td = build_treedec(gext, fixed_order=[loc[v] for v in idx.td.order if v in loc])
     return td, build_labels(td)
 
 
 def test_post_tree_equals_extended_partition_build(built):
-    """The post-boundary tree (the partition tree's shape, boundary-pair
-    bases set to D) holds exactly the shortcuts, base weights and labels
-    of a build on G'_i."""
+    """Each partition's component of the post-boundary forest (the
+    partition tree's shape, boundary-pair bases set to D) holds exactly
+    the shortcuts, base weights and labels of a build on G'_i."""
     idx = built[0]
     for u in idx.units:
         td, dis = _extended_partition_post(idx, u)
-        _assert_same_trees(u.td_post, td)
-        assert len(u.dis_post) == len(dis)
-        for v, (ra, rb) in enumerate(zip(u.dis_post, dis)):
-            assert np.array_equal(ra, rb), (u.pid, v)
+        assert_component_equals(idx.td_post, idx.dis_post, u.vertices, td, dis)
 
 
 def _assert_same_trees(ta, tb):
@@ -239,26 +235,25 @@ def _assert_shares_shape(post, td):
 def _assert_same_state(a, b):
     """Shortcuts and base weights of every tree, the post-boundary
     labels, D, disB, every L* row and the boundary rows of ``a`` and
-    ``b`` are bit-for-bit equal, and each post-boundary tree shares its
-    partition tree's shape."""
-    _assert_same_trees(a.td_o, b.td_o)
+    ``b`` are bit-for-bit equal, and the post-boundary forest shares the
+    partition forest's shape."""
+    for ta, tb in [(a.td_o, b.td_o), (a.td, b.td), (a.td_post, b.td_post)]:
+        _assert_same_trees(ta, tb)
+    _assert_shares_shape(a.td_post, a.td)
+    _assert_shares_shape(b.td_post, b.td)
+    assert len(a.dis_post) == len(b.dis_post)
+    for v, (ra, rb) in enumerate(zip(a.dis_post, b.dis_post)):
+        assert np.array_equal(ra, rb), v
+    assert len(a.lrows) == len(b.lrows) == a.graph.n
     for ua, ub in zip(a.units, b.units, strict=True):
-        _assert_same_trees(ua.td, ub.td)
-        _assert_same_trees(ua.td_post, ub.td_post)
-        _assert_shares_shape(ua.td_post, ua.td)
-        _assert_shares_shape(ub.td_post, ub.td)
-        assert len(ua.dis_post) == len(ub.dis_post)
-        for v, (ra, rb) in enumerate(zip(ua.dis_post, ub.dis_post)):
-            assert np.array_equal(ra, rb), v
         assert np.array_equal(ua.D, ub.D)
         assert np.array_equal(ua.disB, ub.disB)
         assert ua.lstar.keys() == ub.lstar.keys()
         for v, (h, d) in ua.lstar.items():
             assert np.array_equal(h, ub.lstar[v][0]) and np.array_equal(d, ub.lstar[v][1]), v
         assert np.array_equal(ua.hubs, ub.hubs)
-        assert len(ua.lrows) == len(ub.lrows) == len(ua.vertices)
-        for l in ua.b_local:
-            assert np.array_equal(ua.lrows[l], ub.lrows[l]), l
+        for v in ua.b_local:
+            assert np.array_equal(a.lrows[v], b.lrows[v]), v
 
 
 @pytest.mark.parametrize("seed,k", [(0, 3), (1, 4), (2, 3), (3, 4)])
@@ -289,7 +284,7 @@ def test_residuals_and_overlay_equal_fresh_build(seed, k):
         for ua, ub in zip(idx.units, ref.units, strict=True):
             assert np.array_equal(ua.res_pos, ub.res_pos)
             assert np.array_equal(ua.res_w, ub.res_w)
-            assert np.array_equal(ua.td.flat, ub.td.flat)
+        assert np.array_equal(idx.td.flat, ref.td.flat)
         assert idx.td_o.order == ref.td_o.order
         assert np.array_equal(idx.td_o.flat, ref.td_o.flat)
 
@@ -300,9 +295,8 @@ def _pinned_boundary_edges(idx):
     the edge weight."""
     out = []
     for u in idx.units:
-        for a, la in enumerate(u.b_local):
-            for b, lb in enumerate(u.b_local):
-                ga, gb = u.vertices[la], u.vertices[lb]
+        for a, ga in enumerate(u.b_local):
+            for b, gb in enumerate(u.b_local):
                 if a < b and gb in idx.graph.adj[ga] and idx.graph.adj[ga][gb] > u.D[a, b]:
                     out.append((ga, gb, idx.graph.adj[ga][gb]))
     return out
@@ -353,10 +347,6 @@ def test_refreshed_D_equals_full_boundary_matrix(factor, monkeypatch):
 
 def _pair_classes(idx):
     """One list of (s, t) pairs per query_cross path."""
-    def is_b(v):
-        u = idx.units[int(idx.part.pid[v])]
-        return u.loc[v] in u.b_set
-
     classes = {c: [] for c in ("nonb-nonb", "b-nonb", "nonb-b", "b-b", "same", "s==t")}
     for s in range(idx.graph.n):
         classes["s==t"].append((s, s))
@@ -366,7 +356,7 @@ def _pair_classes(idx):
             if idx.part.pid[s] == idx.part.pid[t]:
                 classes["same"].append((s, t))
             else:
-                key = ("b" if is_b(s) else "nonb") + "-" + ("b" if is_b(t) else "nonb")
+                key = ("b" if is_boundary(idx, s) else "nonb") + "-" + ("b" if is_boundary(idx, t) else "nonb")
                 classes[key].append((s, t))
     return classes
 
@@ -378,8 +368,7 @@ def test_query_cross_every_path_exact(built):
     idx, g, fw, seed = built
 
     def label(v):
-        u = idx.units[int(idx.part.pid[v])]
-        return u.hubs, u.lrows[u.loc[v]]
+        return idx.units[int(idx.part.pid[v])].hubs, idx.lrows[v]
 
     for cls, pairs in _pair_classes(idx).items():
         assert pairs, cls
@@ -392,12 +381,12 @@ def test_query_cross_every_path_exact(built):
 
 def _assert_boundary_rows_are_overlay_labels(idx):
     for u in idx.units:
-        for j, (l, o) in enumerate(zip(u.b_local, u.b_ov)):
-            row = u.lrows[l]
-            assert np.array_equal(row[u.bcols[j]], idx.dis_o[o]), l
+        for j, (b, o) in enumerate(zip(u.b_local, u.b_ov)):
+            row = idx.lrows[b]
+            assert np.array_equal(row[u.bcols[j]], idx.dis_o[o]), b
             rest = np.ones(len(row), dtype=bool)
             rest[u.bcols[j]] = False
-            assert np.all(row[rest] == math.inf), l
+            assert np.all(row[rest] == math.inf), b
 
 
 def test_boundary_rows_are_overlay_labels():

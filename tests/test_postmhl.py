@@ -6,8 +6,9 @@ import pytest
 
 from repro.core.dijkstra import floyd_warshall
 from repro.core.h2h import H2HIndex
-from repro.psp.postmhl import PostMHLIndex, boundary_gather
-from tests.concat_reference import boundary_matrix
+from repro.graphs.generator import DATASETS
+from repro.psp.postmhl import PostMHLIndex, boundary_dists
+from tests.concat_reference import boundary_gather, boundary_matrix
 from tests.util import pairs_for, small_case, updated_case
 
 PARAMS = [(0, 8, 4), (1, 8, 5), (2, 10, 4)]
@@ -209,6 +210,32 @@ def test_incremental_state_equals_fresh_build(case, tau, ke):
         if case[0] == "window":
             assert 0 < len(times["u4"]["parts"]) < idx.k
         _assert_same_state(idx, PostMHLIndex(idx.graph.copy(), tau=tau, k_e=ke))
+
+
+def _assert_D_is_gather(idx: PostMHLIndex) -> None:
+    """Every partition's D_i, read from H_i, is bit for bit the pairwise
+    gather of B_i's label rows."""
+    for i, root in enumerate(idx.tdp.roots):
+        D = boundary_gather(idx.td, idx.dis, root)
+        assert np.array_equal(boundary_dists(idx.td, idx.H[i], root), D), i
+        assert np.array_equal(idx.D[i], D), i
+
+
+@pytest.mark.parametrize("name", ["NY", "FLA"])
+def test_D_from_H_equals_gather(name):
+    """After the build and after each of 3 halve/double batches of 100
+    edges, on every partition of NY and FLA."""
+    spec = DATASETS[name]
+    g, _ = spec.build()
+    idx = PostMHLIndex(g.copy(), tau=spec.tau, k_e=spec.k_e)
+    _assert_D_is_gather(idx)
+    rng = np.random.default_rng(17)
+    edges = list(g.edges())
+    for _ in range(3):
+        pick = rng.choice(len(edges), 100, replace=False)
+        batch = [(a, b, idx.graph.adj[a][b] * float(rng.choice([0.5, 2.0]))) for a, b, _ in (edges[k] for k in pick)]
+        idx.apply_batch(batch)
+        _assert_D_is_gather(idx)
 
 
 @pytest.mark.parametrize("seed,tau,ke", PARAMS)

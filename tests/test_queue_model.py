@@ -5,7 +5,6 @@ import pytest
 
 from repro.throughput.queue_model import (
     Stage,
-    baseline_stages,
     capacity_throughput,
     lemma1_throughput,
     multistage_throughput,
@@ -69,12 +68,6 @@ def test_multistage_monotone_in_final_stage_share():
 
 def test_update_exceeding_interval_zero():
     assert multistage_throughput([Stage(130, 0.01)], 120, 0.5) == 0.0
-
-
-def test_baseline_stages_shape():
-    st = baseline_stages(tu=30, tq_fallback=0.05, vq_fallback=0.0, tq=0.001, vq=0.0, dt=120)
-    assert len(st) == 2
-    assert st[0].duration == 30 and st[1].duration == 90
 
 
 def test_simulator_low_load_response_near_service():

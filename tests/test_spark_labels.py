@@ -59,8 +59,8 @@ def test_pmhl_lstar_labels_on_spark(spark):
     idx = PMHLIndex(g.copy(), 4, coords)
     hubs = {}
     for u in idx.units:
-        for l, row in enumerate(u.lrows):
-            hubs[u.vertices[l]] = (u.hubs, row)
+        for v in u.vertices:
+            hubs[v] = (u.hubs, idx.lrows[v])
     rows = hub_label_rows(hubs)
     rows = rows[np.isfinite(rows.d)]
     pairs = [

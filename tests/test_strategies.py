@@ -17,8 +17,8 @@ def test_nchp_builds_no_labels():
     g, coords, _ = small_case(0, 20, 5)
     idx = NCHPIndex(g.copy(), 4, coords)
     assert idx.dis_o is None
-    assert all(u.dis is None for u in idx.units)
-    assert all(u.td_post is None for u in idx.units)
+    assert idx.dis is None
+    assert idx.td_post is None
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -44,7 +44,7 @@ def test_ptdp_builds_no_cross_index():
     g, coords, _ = small_case(0, 20, 5)
     idx = PTDPIndex(g.copy(), 4, coords)
     assert all(not u.lstar for u in idx.units)
-    assert all(u.td_post is not None for u in idx.units)
+    assert idx.td_post is not None
 
 
 @pytest.mark.parametrize("seed", [0, 1])

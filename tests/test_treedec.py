@@ -165,16 +165,22 @@ def test_lca_equals_parent_walk_on_a_forest():
 
 def test_lca_equals_parent_walk_on_fla_trees():
     """10k random pairs of FLA's PostMHL tree, PMHL's overlay tree and
-    every PMHL partition and post-boundary tree."""
+    every PMHL partition and post-boundary tree (pairs of the
+    partition's vertices in PMHL's two forests), and 10k pairs across
+    the forests' trees."""
     spec = DATASETS["FLA"]
     g, coords = spec.build()
     pm = PMHLIndex(g.copy(), spec.k, coords)
     post = PostMHLIndex(g.copy(), tau=spec.tau, k_e=spec.k_e)
-    trees = [post.td, pm.td_o] + [t for u in pm.units for t in (u.td, u.td_post)]
+    cases = [(post.td, np.arange(post.td.n)), (pm.td_o, np.arange(pm.td_o.n))]
+    cases += [(td, np.array(vs)) for td in (pm.td, pm.td_post) for vs in pm.part.parts]
     rng = np.random.default_rng(16)
-    for td in trees:
-        kinds = _assert_lca_pairs(td, rng.integers(0, td.n, (10_000, 2)).tolist())
+    for td, vs in cases:
+        kinds = _assert_lca_pairs(td, vs[rng.integers(0, len(vs), (10_000, 2))].tolist())
         assert kinds["ancestor"] and kinds["branch"], kinds
+    for td in (pm.td, pm.td_post):
+        kinds = _assert_lca_pairs(td, rng.integers(0, td.n, (10_000, 2)).tolist())
+        assert kinds["cross"], kinds
 
 
 def test_lemma4_fixed_order_reproduces_mde(td_case):
@@ -196,7 +202,7 @@ def _boundary_first(g, forced):
     """``boundary_residual`` on ``forced`` and the boundary-first tree:
     phase A's contraction resumed with ``forced`` in ascending vertex id."""
     order, residual = boundary_residual(g, _mask(g.n, forced))
-    return finish_boundary_first(contract_nonboundary(g, _mask(g.n, forced)), sorted(forced)), order, residual
+    return finish_boundary_first(contract_nonboundary(g, _mask(g.n, forced)), [sorted(forced)]), order, residual
 
 
 def _assert_same_tree(a, b):
@@ -309,7 +315,7 @@ def test_resumed_tree_completes_boundary_chain(g, boundary):
     unchanged."""
     bs = sorted(boundary)
     order, _ = boundary_residual(g, _mask(g.n, boundary))
-    td = finish_boundary_first(contract_nonboundary(g, _mask(g.n, boundary)), bs)
+    td = finish_boundary_first(contract_nonboundary(g, _mask(g.n, boundary)), [bs])
     clique = g.copy()
     for i, a in enumerate(bs):
         for b in bs[i + 1 :]:

@@ -6,6 +6,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.graphs.generator import road_network, update_batches
+from repro.graphs.graph import Graph
 from repro.core.dijkstra import floyd_warshall
 
 
@@ -29,6 +30,19 @@ def updated_case(seed: int, width: int = 14, height: int = 5, batches: int = 3, 
     return g, coords, ups, truths
 
 
+def two_components() -> tuple[Graph, np.ndarray, int]:
+    """A small road network plus a 3-vertex path placed at its left edge,
+    so PMHL's first partition holds a component with no boundary."""
+    g, coords, _ = small_case(0, 14, 5)
+    n = g.n
+    out = Graph(n + 3)
+    for a, b, w in g.edges():
+        out.add_edge(a, b, w)
+    out.add_edge(n, n + 1, 7.0)
+    out.add_edge(n + 1, n + 2, 5.0)
+    return out, np.vstack([coords, [[0, 0], [0, 1], [1, 0]]]), n
+
+
 def pairs_for(n: int, count: int, seed: int = 0):
     import random
 
@@ -41,9 +55,23 @@ def pairs_for(n: int, count: int, seed: int = 0):
     return out
 
 
+def assert_component_equals(forest, forest_dis, vertices, td, dis) -> None:
+    """The rows of ``forest`` at ``vertices`` (global ids) are bit for bit
+    those of ``td``, a tree over local ids (``vertices[l]`` is local l):
+    neighbours, shortcuts, base weights, depths and, where ``dis`` is
+    given, labels."""
+    for l, v in enumerate(vertices):
+        assert forest.neigh[v] == [vertices[x] for x in td.neigh[l]], v
+        assert np.array_equal(forest.sc[v], td.sc[l]), v
+        fa, la = forest.flat_off[v], td.flat_off[l]
+        assert np.array_equal(forest.base[fa : forest.flat_off[v + 1]], td.base[la : td.flat_off[l + 1]]), v
+        assert forest.depth[v] == td.depth[l], v
+        if dis is not None:
+            assert np.array_equal(forest_dis[v], dis[l]), v
+
+
 def is_boundary(idx, v: int) -> bool:
-    u = idx.units[int(idx.part.pid[v])]
-    return u.loc[v] in u.b_set
+    return v in idx.units[int(idx.part.pid[v])].b_set
 
 
 def pmhl_pair_classes(idx, rng) -> dict[str, list[tuple[int, int]]]:
