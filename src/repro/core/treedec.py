@@ -71,7 +71,8 @@ class TreeDec:
     of sc(x, a) and sc(x, b)), with its transpose (``dep_ptr``/``dep``:
     position → the positions it supports). A supported shortcut's owner
     is an ancestor of every contributor, so ``pdepth`` (owner depth per
-    position) orders an exact deepest-first sweep.
+    position) orders an exact deepest-first sweep; ``depth_pos[d]`` lists
+    the positions of owner depth d, the sweep's static schedule.
     """
 
     n: int
@@ -102,6 +103,7 @@ class TreeDec:
     nbr: np.ndarray | None = None
     base: np.ndarray | None = None
     pdepth: np.ndarray | None = None
+    depth_pos: list[np.ndarray] | None = None
     sup_ptr: np.ndarray | None = None
     sup_a: np.ndarray | None = None
     sup_b: np.ndarray | None = None
@@ -340,6 +342,8 @@ def _treedec(e: Elimination) -> TreeDec:
         flat=flat, flat_off=flat_off, own=own, nbr=nbr, base=base,
         pdepth=np.array(depth, dtype=np.int32)[own],
     )
+    by_depth = np.argsort(td.pdepth, kind="stable")
+    td.depth_pos = np.split(by_depth, np.cumsum(np.bincount(td.pdepth, minlength=td.height))[:-1])
     _support_tables(td)
     return td
 
@@ -464,45 +468,44 @@ def update_shortcuts(
     ``changes`` are ``(u, v, w)`` edge-weight changes: each ``w`` is
     written to the base weight ``td.base`` of the shortcut (u, v), whose
     position is marked dirty. No graph is read.
-    Each step recomputes the dirty positions of the deepest pending
-    owner depth with one ``support_min``, writes the values that changed
-    and marks their dependents dirty. A dependent's owner is strictly
-    shallower, so one sweep is exact for increases *and* decreases.
+    The sweep walks the owner depths from the deepest dirty one up. At
+    each depth it recomputes the dirty positions of ``depth_pos[d]`` with
+    one ``support_min``, writes the values that changed and marks their
+    dependents in a dirty bitmap. A dependent's owner is strictly
+    shallower, so one sweep is exact for increases *and* decreases, and
+    the positions of several trees or partitions share its steps.
 
     ``subset`` (bool per vertex, closed under tree descendants): only
-    positions owned inside it are processed (PostMHL processes each
-    partition's subtree in parallel); dirt on owners outside it is
-    returned as ``escaped`` for a later pass (``seed`` takes the
-    ``escaped`` arrays of earlier passes).
+    positions owned inside it are processed (PostMHL's partition
+    subtrees, all at once); dirt on owners outside it is returned as
+    ``escaped`` for a later pass (``seed`` takes the ``escaped`` arrays
+    of earlier passes).
 
     ``recomputed_pairs`` ⊇ ``changed_pairs`` matters for Theorem-2
     residual maintenance: a boundary pair's *residual* value (ignoring
     boundary contributors) can change even when its full value does not.
     """
-    pend = [np.empty(0, dtype=np.int64), *seed]
+    start = [np.empty(0, dtype=np.int64), *seed]
     if changes:
         ep = np.empty(len(changes), dtype=np.int64)
         for k, (u, v, w) in enumerate(changes):
             ep[k] = position(td, u, v)
             td.base[ep[k]] = w
-        pend.append(ep)
-    pend = np.unique(np.concatenate(pend))
+        start.append(ep)
+    start = np.concatenate(start)
     dirty = np.zeros(len(td.flat), dtype=bool)
-    dirty[pend] = True
+    dirty[start] = True
     escaped, recomputed, changed = [], [], []
-
-    def inside(p: np.ndarray) -> np.ndarray:
-        if subset is None:
-            return p
-        out = ~subset[td.own[p]]
-        escaped.append(p[out])
-        return p[~out]
-
-    pend = inside(pend)
-    while len(pend):
-        dep = td.pdepth[pend]
-        top = dep == dep.max()
-        sel, pend = pend[top], pend[~top]
+    top = int(td.pdepth[start].max()) if len(start) else -1
+    for d in range(top, -1, -1):
+        at = td.depth_pos[d]
+        sel = at[dirty[at]]
+        if subset is not None and len(sel):
+            inside = subset[td.own[sel]]
+            escaped.append(sel[~inside])
+            sel = sel[inside]
+        if not len(sel):
+            continue
         recomputed.append(sel)
         new = support_min(td, sel)
         diff = new != td.flat[sel]
@@ -510,10 +513,7 @@ def update_shortcuts(
             ch = sel[diff]
             td.flat[ch] = new[diff]
             changed.append(ch)
-            nxt = td.dep[_segments(td.dep_ptr, ch)[0]]
-            nxt = np.unique(nxt[~dirty[nxt]])
-            dirty[nxt] = True
-            pend = np.concatenate([pend, inside(nxt)])
+            dirty[td.dep[_segments(td.dep_ptr, ch)[0]]] = True
 
     changed_pos = _sorted_cat(changed)
     return ShortcutUpdate(

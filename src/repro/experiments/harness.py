@@ -1,8 +1,9 @@
 """Measurement utilities shared by every experiment.
 
 - per-query timing with mean/variance (feeds the M/G/1 model);
-- LPT (longest-processing-time) scheduling of measured per-partition
-  task durations onto ``p`` workers — how we obtain parallel stage
+- LPT (longest-processing-time) scheduling of per-partition task
+  durations onto ``p`` workers — each measured alone, or a partition's
+  share of one pass over all partitions — how we obtain parallel stage
   wall-clock for any thread count without owning that many cores
   (DESIGN.md §2/§4);
 - stage-wall computation for PMHL and PostMHL update timelines.

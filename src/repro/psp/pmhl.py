@@ -34,13 +34,16 @@ and ``min_b d(t, b_b) + H_j[b]``, with d(s, b_a) gathered from the
 partition labels (``L_i`` in stage 3, ``L'_i`` in stage 4). ``H_i`` is
 kept per partition and refreshed in U3; U4's ``D_i = H_i ⊗ H_iᵀ`` and
 U5's ``L*`` read it too.
-Update stages U1–U5 mirror §V-D; ``apply_batch`` returns per-task
-durations so stage wall-clock under p workers is an LPT schedule
-(DESIGN.md §2): U2–U4 run one call per touched partition on the
-forests, each timed apart. Maintenance hands ``(u, v, w)`` changes to
-``update_shortcuts``, which writes them into the trees' ``base``: the
-partition and overlay graphs are locals of ``build``, and no index
-state holds a graph copy.
+Update stages U1–U5 mirror §V-D. U2–U4 maintain every touched
+partition at once, as the paper's one thread per partition: U2 and U4
+are one ``update_shortcuts`` over a forest with every partition's
+changes, U3 and U4 one ``build_labels`` under every partition's
+affected subtrees. ``apply_batch`` reports each touched partition's
+share of such a pass (``split_seconds``), so stage wall-clock under p
+workers is an LPT schedule of the shares (DESIGN.md §2). Maintenance
+hands ``(u, v, w)`` changes to ``update_shortcuts``, which writes them
+into the trees' ``base``: the partition and overlay graphs are locals
+of ``build``, and no index state holds a graph copy.
 """
 from __future__ import annotations
 
@@ -58,6 +61,7 @@ from repro.core.ch import TreeCH, ch_query_rows
 from repro.core.dijkstra import bidijkstra
 from repro.core.h2h import prune_to_subtree_roots
 from repro.core.treedec import (
+    ShortcutUpdate,
     TreeDec,
     build_labels,
     build_treedec,
@@ -89,6 +93,28 @@ def relabel(td: TreeDec, dis: list, roots: list[int], active: set[int] | None = 
             stack.extend(td.children[v])
     build_labels(td, roots=roots, active=active, dis=dis)
     return {v for v, row in old.items() if row is None or not np.array_equal(row, dis[v])}
+
+
+def split_seconds(seconds: float, pids, work: np.ndarray) -> dict[int, float]:
+    """One pass over several partitions as per-partition task times: the
+    pass's measured ``seconds`` shared among the partitions ``pids`` in
+    proportion to ``work[i]``, the positions or rows it recomputed in
+    partition i (evenly if it recomputed none). The shares sum to
+    ``seconds``; the p-worker LPT model schedules them (DESIGN.md §2)."""
+    pids = sorted(pids)
+    w = work[pids].astype(np.float64)
+    if not w.sum():
+        w[:] = 1.0
+    return dict(zip(pids, (seconds * w / w.sum()).tolist()))
+
+
+def subtree_sizes(td: TreeDec) -> np.ndarray:
+    """Vertices in each vertex's subtree (a relabelled root's rows)."""
+    size = np.ones(td.n, dtype=np.int64)
+    for v in td.order:  # children first
+        if td.parent[v] >= 0:
+            size[td.parent[v]] += size[v]
+    return size
 
 
 def joined_min(d1: np.ndarray, i1: np.ndarray, d2: np.ndarray, i2: np.ndarray) -> float:
@@ -247,12 +273,6 @@ class PartitionUnit:
     b_local: list[int] = field(default_factory=list)   # boundary, overlay-rank order
     b_ov: list[int] = field(default_factory=list)      # boundary, overlay ids
     b_set: set[int] = field(default_factory=set)       # boundary set
-    # Theorem-2 residual boundary pairs: their ``td.flat`` positions,
-    # residual values (the overlay tree's base weights of these edges)
-    # and overlay endpoints
-    res_pos: np.ndarray | None = None
-    res_w: np.ndarray | None = None
-    res_ov: list[tuple[int, int]] = field(default_factory=list)
     D: np.ndarray | None = None                        # |B|×|B| global boundary dists
     # hub layout and cross-boundary index; the tree shapes never change,
     # so ``hubs``, ``bcols`` and ``plan`` are fixed at build
@@ -355,14 +375,14 @@ class PMHLIndex:
             elif parent[v] >= 0:
                 b_anc[v] = b_anc[parent[v]]
         self.b_anc = array("i", b_anc)
+        self.sub_size = subtree_sizes(td)
         self.dis = build_labels(td) if self.level != "shortcut" else None
-        res: list[list[tuple[tuple[int, int], float]]] = [[] for _ in self.units]
-        for (a, b), w in residual.items():
-            res[pid[a]].append(((a, b), w))
-        for u, pairs in zip(self.units, res):
-            u.res_pos = np.array([position(td, a, b) for (a, b), _ in pairs], dtype=np.int64)
-            u.res_w = np.array([w for _, w in pairs], dtype=np.float64)
-            u.res_ov = [(o_loc[a], o_loc[b]) for (a, b), _ in pairs]
+        # Theorem-2 residual boundary pairs of every partition: their
+        # ``td.flat`` positions, residual values (the overlay tree's base
+        # weights of these edges) and overlay endpoints
+        self.res_pos = np.array([position(td, a, b) for a, b in residual], dtype=np.int64)
+        self.res_w = np.array(list(residual.values()), dtype=np.float64)
+        self.res_ov = [(o_loc[a], o_loc[b]) for a, b in residual]
         bt["parts_phase_b"] = time.perf_counter() - t0
 
         # Hub layout, which the PCH schedule and every Lemma-2 stage read.
@@ -501,55 +521,48 @@ class PMHLIndex:
     def apply_batch(self, updates: list[tuple[int, int, float]]) -> dict:
         """Run U-Stages 1–5; returns per-stage / per-task durations."""
         out: dict = {}
-        td, pid = self.td, self.pid
+        td, pid, pid_arr = self.td, self.pid, self.part.pid
 
         # ---- U1: on-spot edge update --------------------------------
         t0 = time.perf_counter()
         self.graph.apply_updates(updates)
-        intra: dict[int, list[tuple[int, int, float]]] = {}
-        inter: list[tuple[int, int, float]] = []
-        for a, b, w in updates:
-            i = pid[a]
-            if i == pid[b]:
-                intra.setdefault(i, []).append((a, b, w))
-            else:
-                inter.append((a, b, w))
+        intra = [(a, b, w) for a, b, w in updates if pid[a] == pid[b]]
+        inter = [(a, b, w) for a, b, w in updates if pid[a] != pid[b]]
+        touched = {pid[a] for a, _, _ in intra}
         out["u1"] = time.perf_counter() - t0
 
         # ---- U2: no-boundary shortcut update ------------------------
-        u2_parts: dict[int, float] = {}
-        ov_changes: list[tuple[int, int, float]] = []
-        affected_lab: dict[int, set[int]] = {}
-        for i, ups in intra.items():
-            u = self.units[i]
-            t0 = time.perf_counter()
-            res = update_shortcuts(td, ups)
-            affected_lab[i] = res.affected
-            # Theorem-2 residuals: an overlay edge's base weight is its
-            # residual (boundary-contributor-free) value, so a moved
-            # residual is an overlay change. Only a recomputed pair's
-            # residual can move.
-            k = np.flatnonzero(np.isin(u.res_pos, res.recomputed_pairs))
-            nv = support_min(td, u.res_pos[k], skip=self.b_mask)
-            moved = nv != u.res_w[k]
-            u.res_w[k[moved]] = nv[moved]
-            ov_changes.extend((*u.res_ov[j], w) for j, w in zip(k[moved].tolist(), nv[moved].tolist()))
-            u2_parts[i] = time.perf_counter() - t0
+        # One sweep over the partition forest for every partition.
+        t0 = time.perf_counter()
+        res = update_shortcuts(td, intra)
+        # Theorem-2 residuals: an overlay edge's base weight is its
+        # residual (boundary-contributor-free) value, so a moved
+        # residual is an overlay change. Only a recomputed pair's
+        # residual can move.
+        k = np.flatnonzero(np.isin(self.res_pos, res.recomputed_pairs))
+        nv = support_min(td, self.res_pos[k], skip=self.b_mask)
+        moved = nv != self.res_w[k]
+        k, nv = k[moved], nv[moved]
+        self.res_w[k] = nv
+        ov_changes = [(*self.res_ov[j], w) for j, w in zip(k.tolist(), nv.tolist())]
+        t_parts = time.perf_counter() - t0
         t0 = time.perf_counter()
         ov_changes.extend((self.o_loc[a], self.o_loc[b], w) for a, b, w in inter)
         res_o = update_shortcuts(self.td_o, ov_changes)
-        out["u2"] = {"parts": u2_parts, "overlay": time.perf_counter() - t0}
+        out["u2"] = {
+            "parts": split_seconds(t_parts, touched, np.bincount(pid_arr[td.own[res.recomputed_pairs]], minlength=self.k)),
+            "overlay": time.perf_counter() - t0,
+        }
         if self.level == "shortcut":
             return out
 
         # ---- U3: no-boundary label update ---------------------------
-        u3_parts: dict[int, float] = {}
-        for i, aff in affected_lab.items():
-            t0 = time.perf_counter()
-            roots = prune_to_subtree_roots(td, aff)
-            if roots:
-                build_labels(td, roots=roots, dis=self.dis)
-            u3_parts[i] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        roots = prune_to_subtree_roots(td, res.affected)
+        if roots:
+            build_labels(td, roots=roots, dis=self.dis)
+        t_parts = time.perf_counter() - t0
+        rows = np.bincount(pid_arr[roots], weights=self.sub_size[roots], minlength=self.k)
         t0 = time.perf_counter()
         ov_roots = prune_to_subtree_roots(self.td_o, res_o.affected)
         changed_ov = relabel(self.td_o, self.dis_o, ov_roots)
@@ -557,20 +570,20 @@ class PMHLIndex:
         # read them as soon as this stage ends.
         for u in self.units:
             self._set_hub_rows(u, [j for j, o in enumerate(u.b_ov) if o in changed_ov])
-        out["u3"] = {"parts": u3_parts, "overlay": time.perf_counter() - t0}
+        out["u3"] = {"parts": split_seconds(t_parts, touched, rows), "overlay": time.perf_counter() - t0}
 
         # ---- U4: post-boundary index update -------------------------
-        u4_parts: dict[int, float] = {}
-        post_label_changed: set[int] = set()
-        for u in self.units:
-            i = u.pid
-            if i not in intra and changed_ov.isdisjoint(u.b_ov):
-                continue
-            t0 = time.perf_counter()
-            if self._update_post(u, intra.get(i, ()), changed_ov):
-                post_label_changed.add(i)
-            u4_parts[i] = time.perf_counter() - t0
-        out["u4"] = {"parts": u4_parts}
+        t0 = time.perf_counter()
+        post = [u for u in self.units if u.pid in touched or not changed_ov.isdisjoint(u.b_ov)]
+        res_p = self._update_post(intra, post, changed_ov)
+        out["u4"] = {
+            "parts": split_seconds(
+                time.perf_counter() - t0,
+                [u.pid for u in post],
+                np.bincount(pid_arr[td.own[res_p.recomputed_pairs]], minlength=self.k),
+            )
+        }
+        post_label_changed = {pid[v] for v in res_p.affected}
         if self.level == "post":
             return out
 
@@ -589,25 +602,27 @@ class PMHLIndex:
         out["u5"] = {"parts": u5_parts, "boundary_hubs": 0.0}
         return out
 
-    def _update_post(self, u: PartitionUnit, intra: list, changed_ov: set[int]) -> bool:
-        """U4 of one partition: the rows of ``D`` whose boundary vertex's
-        overlay label changed are recomputed from ``H`` (the others hold,
-        as ``D[a, b]`` reads only rows a and b of ``H``); the moved
-        entries and the partition's edge changes go to ``td_post``, then
-        its labels. Returns whether any of the partition's ``td_post``
-        rows changed."""
+    def _update_post(self, intra: list, post: list[PartitionUnit], changed_ov: set[int]) -> ShortcutUpdate:
+        """U4 of the partitions ``post``, one sweep and one label pass
+        over the post-boundary forest: in each, the rows of ``D`` whose
+        boundary vertex's overlay label changed are recomputed from ``H``
+        (the others hold, as ``D[a, b]`` reads only rows a and b of
+        ``H``); the moved entries and the partitions' edge changes go to
+        ``td_post``, then its labels. Returns the sweep's result."""
         # a boundary pair's weight is pinned to D (below)
-        changes = [(a, b, w) for a, b, w in intra if not (a in u.b_set and b in u.b_set)]
-        rows = [a for a, o in enumerate(u.b_ov) if o in changed_ov]
-        for a, new in zip(rows, boundary_rows(u.H, rows)):
-            moved = np.flatnonzero(new != u.D[a])
-            u.D[a, moved] = u.D[moved, a] = new[moved]
-            changes.extend((u.b_local[a], u.b_local[b], float(new[b])) for b in moved.tolist())
+        b_mask = self.b_mask
+        changes = [(a, b, w) for a, b, w in intra if not (b_mask[a] and b_mask[b])]
+        for u in post:
+            rows = [a for a, o in enumerate(u.b_ov) if o in changed_ov]
+            for a, new in zip(rows, boundary_rows(u.H, rows)):
+                moved = np.flatnonzero(new != u.D[a])
+                u.D[a, moved] = u.D[moved, a] = new[moved]
+                changes.extend((u.b_local[a], u.b_local[b], float(new[b])) for b in moved.tolist())
         res_p = update_shortcuts(self.td_post, changes)
         roots = prune_to_subtree_roots(self.td_post, res_p.affected)
         if roots:
             build_labels(self.td_post, roots=roots, dis=self.dis_post)
-        return bool(roots or res_p.affected)
+        return res_p
 
     # ------------------------------------------------------------------
     def index_size(self) -> int:

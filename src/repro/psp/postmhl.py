@@ -21,8 +21,9 @@ kernels: ``disB`` is PMHL's ``build_disB`` DP, the in-partition columns
 a windowed ``build_labels`` (``col0``), and the cross-boundary phase the
 plain ``build_labels`` over the partition subtree.
 
-Update stages: U1 edge refresh → U2 shortcuts (partition-parallel
-sweeps + overlay sweep over the escaped dirty positions) → U3 overlay labels
+Update stages: U1 edge refresh → U2 shortcuts (one sweep over every
+partition's subtree at once, the paper's partition-parallel pass, then
+the overlay sweep over the escaped dirty positions) → U3 overlay labels
 and the re-gathered ``H_i`` and ``D_i`` of partitions with a changed ``B_i`` row →
 U4 post-boundary and U5 cross-boundary per-partition in parallel. U4 is
 change-driven: it reads only ``D_i`` (``H_i``'s columns at B_i's depths,
@@ -50,7 +51,7 @@ from repro.core.dijkstra import bidijkstra
 from repro.core.h2h import prune_to_subtree_roots
 from repro.core.treedec import TreeDec, build_labels, build_treedec, h2h_query, update_shortcuts
 from repro.partition.tdpartition import TDPartitionResult, td_partition
-from repro.psp.pmhl import build_disB, disB_plan, relabel
+from repro.psp.pmhl import build_disB, disB_plan, relabel, split_seconds
 
 INF = math.inf
 
@@ -103,8 +104,9 @@ class PostMHLIndex:
         self.novl = [self.td.depth[r] for r in self.tdp.roots]
         self.ov_anc = [self.td.ancestors(r)[:-1] for r in self.tdp.roots]  # overlay ancestors
         # Partition vertices. Dirt from partition i's edges only reaches
-        # i's subtree and overlay ancestors, so this one mask restricts
-        # every partition's U2 sweep to its own partition.
+        # i's subtree and overlay ancestors, so one U2 sweep restricted
+        # to this mask maintains every partition at once, each inside its
+        # own subtree.
         self.in_part = self.tdp.pid >= 0
         self.pid: list[int] = self.tdp.pid.tolist()  # the query stages' partition ids
         self.plans: list[tuple] = [()] * self.k  # disB_plan per partition
@@ -241,31 +243,32 @@ class PostMHLIndex:
         # ---- U1 ------------------------------------------------------
         t0 = time.perf_counter()
         applied = self.graph.apply_updates(updates)
-        part_edges: dict[int, list[tuple[int, int, float]]] = {}
+        part_edges: list[tuple[int, int, float]] = []
         ov_edges: list[tuple[int, int, float]] = []
+        touched: set[int] = set()
         for a, b, w in applied:
             owner = a if td.rank[a] < td.rank[b] else b
             i = self.pid[owner]
             if i == -1:
                 ov_edges.append((a, b, w))
             else:
-                part_edges.setdefault(i, []).append((a, b, w))
+                part_edges.append((a, b, w))
+                touched.add(i)
         out["u1"] = time.perf_counter() - t0
 
-        # ---- U2: shortcuts, partition-parallel then overlay ---------
-        u2_parts: dict[int, float] = {}
-        escaped: list[np.ndarray] = []
-        part_affected: set[int] = set()
-        for i, edges in part_edges.items():
-            t0 = time.perf_counter()
-            res = update_shortcuts(td, edges, subset=self.in_part)
-            if res.affected:
-                part_affected.add(i)
-            escaped.append(res.escaped)
-            u2_parts[i] = time.perf_counter() - t0
+        # ---- U2: shortcuts, every partition at once, then overlay ---
         t0 = time.perf_counter()
-        res_o = update_shortcuts(td, ov_edges, seed=escaped)
-        out["u2"] = {"parts": u2_parts, "overlay": time.perf_counter() - t0}
+        res = update_shortcuts(td, part_edges, subset=self.in_part)
+        t_parts = time.perf_counter() - t0
+        part_affected = {self.pid[v] for v in res.affected}
+        t0 = time.perf_counter()
+        res_o = update_shortcuts(td, ov_edges, seed=[res.escaped])
+        out["u2"] = {
+            "parts": split_seconds(
+                t_parts, touched, np.bincount(self.tdp.pid[td.own[res.recomputed_pairs]], minlength=self.k)
+            ),
+            "overlay": time.perf_counter() - t0,
+        }
 
         # ---- U3: overlay label update, then every D_i it may move --
         t0 = time.perf_counter()

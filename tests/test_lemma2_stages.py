@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.dijkstra import dijkstra
+from repro.core.treedec import update_shortcuts
 from repro.experiments.runner import ALGOS
 from repro.graphs.generator import DATASETS
 from repro.psp.pmhl import PMHLIndex
@@ -72,7 +73,7 @@ def test_pmhl_stages_exact_when_they_open(seed, k, monkeypatch):
     monkeypatch.setattr(PMHLIndex, "_build_cross", lambda self, u: None)
     real_post = PMHLIndex._update_post
     for batch, fw in zip(ups, truths):
-        monkeypatch.setattr(PMHLIndex, "_update_post", lambda self, u, intra, changed: False)
+        monkeypatch.setattr(PMHLIndex, "_update_post", lambda self, intra, post, changed: update_shortcuts(self.td_post, []))
         after_u3.apply_batch(batch)
         monkeypatch.setattr(PMHLIndex, "_update_post", real_post)
         after_u4.apply_batch(batch)

@@ -281,9 +281,8 @@ def test_residuals_and_overlay_equal_fresh_build(seed, k):
         idx.apply_batch(batch)
         g2.apply_updates(batch)
         ref = PMHLIndex(g2.copy(), k, coords)
-        for ua, ub in zip(idx.units, ref.units, strict=True):
-            assert np.array_equal(ua.res_pos, ub.res_pos)
-            assert np.array_equal(ua.res_w, ub.res_w)
+        assert np.array_equal(idx.res_pos, ref.res_pos)
+        assert np.array_equal(idx.res_w, ref.res_w)
         assert np.array_equal(idx.td.flat, ref.td.flat)
         assert idx.td_o.order == ref.td_o.order
         assert np.array_equal(idx.td_o.flat, ref.td_o.flat)
